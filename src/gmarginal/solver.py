@@ -16,6 +16,7 @@ at most n - 1 two-mode transformations, scheduled in four stages:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +30,23 @@ from .exceptions import (
 from .spectra import dominates, symplectic_spectrum, williamson
 from .symplectic import (
     DEFAULT_TOL,
-    beam_splitter_pair,
+    _bs_block,
+    _sq_block,
     check_physical,
-    expand_two_mode,
     local_normal_form,
     mode_slice,
-    squeezer_pair,
     symplectic_form,
     symplectic_inverse,
     validate_covariance,
 )
-from .two_mode import bs_param, pair_factor, reconstruct_two_mode, sq_param
+from .two_mode import (
+    _SWAP,
+    _rotations_diagonalizing,
+    bs_param,
+    pair_factor,
+    reconstruct_two_mode,
+    sq_param,
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,33 @@ def _block_stats(W, i):
     return float(c), iso
 
 
+def _pair_ids(i, j):
+    return np.array([2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1])
+
+
+def _local_factor(W, i):
+    """sqrt(det) of the diagonal block of mode i, clipped at zero."""
+    s = mode_slice(i)
+    B = W[s, s]
+    return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
+
+
+def _apply_pair(W, S, T4, i, j):
+    """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on modes (i, j).
+
+    Only the four rows and columns of the pair change, so the cost is O(n).
+    The touched columns are mirrored from the touched rows and the 4x4 pair
+    block is symmetrized, so W stays exactly symmetric.
+    """
+    ids = _pair_ids(i, j)
+    rows = T4 @ W.take(ids, axis=0)
+    block = rows.take(ids, axis=1) @ T4.T
+    W[ids] = rows
+    W[:, ids] = rows.T
+    W[ids[:, None], ids] = 0.5 * (block + block.T)
+    S[ids] = T4 @ S.take(ids, axis=0)
+
+
 def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     """Diagonalize a physical covariance matrix by cyclic two-mode pivots.
 
@@ -107,6 +141,10 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     single-mode blocks isotropic.  The profit prod_j sqrt(det B_j) strictly
     decreases at every pivot and is bounded below by sqrt(det V), which
     forces convergence.
+
+    Each pivot touches only the four rows and columns of its pair and
+    updates only the pair's two profit factors, so it costs O(n) on top of
+    the 4x4 work; a sweep over all pairs costs O(n^3).
 
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
@@ -123,16 +161,7 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
         S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
     steps = []
     initial_profit = float(np.prod(m))
-
-    def profit():
-        out = 1.0
-        for t in range(1, n + 1):
-            s = mode_slice(t)
-            B = W[s, s]
-            out *= np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0))
-        return float(out)
-
-    from .two_mode import _rotations_diagonalizing
+    factors = [_local_factor(W, t) for t in range(1, n + 1)]
 
     sweeps = 0
     while sweeps < max_sweeps:
@@ -149,14 +178,13 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                 Q4 = np.zeros((4, 4))
                 Q4[0:2, 0:2] = Q1
                 Q4[2:4, 2:4] = Q2
-                ids = [2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1]
+                ids = _pair_ids(j, k)
                 M4 = W[np.ix_(ids, ids)]
                 fac = williamson(Q4 @ M4 @ Q4.T)
-                T = expand_two_mode(symplectic_inverse(fac.S) @ Q4, j, k, n)
-                W = T @ W @ T.T
-                W = 0.5 * (W + W.T)
-                S = T @ S
-                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=profit()))
+                _apply_pair(W, S, symplectic_inverse(fac.S) @ Q4, j, k)
+                factors[j - 1] = _local_factor(W, j)
+                factors[k - 1] = _local_factor(W, k)
+                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
         if not pivoted:
             break
     converged = True
@@ -205,6 +233,9 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         diagonal blocks of V equal to m_j * I in sorted slot order, and at
         most n - 1 recorded two-mode transformations.
 
+    Each transfer touches only the four rows and columns of its pair, so it
+    costs O(n), and the whole schedule of at most n - 1 transfers O(n^2).
+
     Raises:
         UnphysicalSpectrumError: kappa[0] < 1.
         IncompatibleSpectraError: the dominance certificate has a negative
@@ -232,7 +263,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
 
     n = int(kappa.size)
     atol = tol * (1.0 + float(max(kappa[-1], m[-1])))
-    W = np.diag(np.repeat(kappa, 2)).astype(float)
+    W = np.diag(np.repeat(kappa, 2))
     S = np.eye(2 * n)
     d = kappa.copy()
     steps = []
@@ -240,12 +271,11 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     sum_gap_initial = float(np.sum(m) - np.sum(kappa))
 
     def apply_step(stage, kind, i, j, param, transfer, t_i, t_j):
-        nonlocal W, S
         di, iso_i = _block_stats(W, i)
         dj, iso_j = _block_stats(W, j)
         cross = float(np.max(np.abs(W[mode_slice(i), mode_slice(j)])))
         if max(iso_i, iso_j) > atol or cross > atol:
-            ids = [2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1]
+            ids = _pair_ids(i, j)
             context = SynthesisTrace(
                 steps=list(steps),
                 stage_counts=tuple(stage_counts),
@@ -254,16 +284,13 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
             )
             T4 = _general_pair_transform(W[np.ix_(ids, ids)], float(t_i), float(t_j), context)
             kind, param = "GEN", (float(t_i), float(t_j))
-            T = expand_two_mode(T4, i, j, n)
         elif kind == "BS":
-            T = beam_splitter_pair(param, i, j, n)
+            T4 = _bs_block(float(param))
         elif kind == "SQ":
-            T = squeezer_pair(param, i, j, n)
+            T4 = _sq_block(float(param))
         else:
-            T = expand_two_mode(pair_factor(di, dj, t_i, t_j), i, j, n)
-        W = T @ W @ T.T
-        W = 0.5 * (W + W.T)
-        S = T @ S
+            T4 = pair_factor(di, dj, t_i, t_j)
+        _apply_pair(W, S, T4, i, j)
         d[i - 1] = _block_stats(W, i)[0]
         d[j - 1] = _block_stats(W, j)[0]
         steps.append(

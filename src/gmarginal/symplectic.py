@@ -15,8 +15,6 @@ from .exceptions import InvalidCovarianceError
 DEFAULT_TOL = 1e-10
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-_I2 = np.eye(2)
 
 
 def mode_slice(j: int) -> slice:
@@ -63,13 +61,17 @@ def _check_pair(j: int, k: int, n: int) -> None:
 
 
 def _bs_block(theta: float) -> np.ndarray:
+    """[[c I, s I], [-s I, c I]]; the zeros carry the signs that c * I would give."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.block([[c * _I2, s * _I2], [-s * _I2, c * _I2]])
+    zc, zs = 0.0 * c, 0.0 * s
+    return np.array([[c, zc, s, zs], [zc, c, zs, s], [-s, -zs, c, zc], [-zs, -s, zc, c]])
 
 
 def _sq_block(mu: float) -> np.ndarray:
+    """[[c I, s Z], [s Z, c I]] with Z = diag(1, -1), signed zeros as in s * Z."""
     c, s = np.cosh(mu), np.sinh(mu)
-    return np.block([[c * _I2, s * _Z2], [s * _Z2, c * _I2]])
+    zc, zs = 0.0 * c, 0.0 * s
+    return np.array([[c, zc, s, zs], [zc, c, zs, -s], [s, zs, c, zc], [zs, -s, zc, c]])
 
 
 def expand_two_mode(S4: np.ndarray, j: int, k: int, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, JSON shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -257,6 +258,10 @@ class TestRandomCommand:
 
 def test_entry_point_subprocess(tmp_path):
     """The installed console script behaves like main()."""
+    # run the same package the tests import, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(gm.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     g = tmp_path / "g.json"
     l = tmp_path / "l.json"
     g.write_text(json.dumps({"values": [1.0, 2.0]}))
@@ -265,6 +270,7 @@ def test_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "gmarginal", "check", str(g), str(l)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -10,6 +10,8 @@ from gmarginal import (
     InvalidCovarianceError,
     UnphysicalSpectrumError,
 )
+from gmarginal.solver import _apply_pair
+from gmarginal.symplectic import _bs_block, _sq_block
 
 from conftest import block_isotropy_max, local_params, off_block_max
 
@@ -37,6 +39,40 @@ def coupled_pair(m1, m2, kx, kp):
     V[0, 2] = V[2, 0] = kx
     V[1, 3] = V[3, 1] = kp
     return V
+
+
+def rel_diff(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+class TestApplyPair:
+    """The in-place pair update against the dense congruence it replaces."""
+
+    BLOCKS = [
+        _bs_block(0.7),
+        _bs_block(-2.3),
+        _sq_block(0.4),
+        _sq_block(-0.9),
+        gm.pair_factor(2.0, 5.0, 4.5, 3.5),
+        gm.pair_factor(6.0, 1.5, 2.5, 6.0),
+    ]
+
+    @pytest.mark.parametrize("pair", [(2, 5), (5, 2), (1, 6), (6, 1), (3, 4)])
+    def test_matches_dense_congruence(self, pair):
+        n = 6
+        i, j = pair
+        rng = np.random.default_rng(7 * i + j)
+        for T4 in self.BLOCKS:
+            A = rng.normal(size=(2 * n, 2 * n))
+            W0 = A @ A.T + 2 * n * np.eye(2 * n)
+            S0 = rng.normal(size=(2 * n, 2 * n))
+            T = gm.expand_two_mode(T4, i, j, n)
+            W_ref, S_ref = T @ W0 @ T.T, T @ S0
+            W, S = W0.copy(), S0.copy()
+            _apply_pair(W, S, T4, i, j)
+            assert rel_diff(W, W_ref) < 1e-14
+            assert rel_diff(S, S_ref) < 1e-14
+            assert np.array_equal(W, W.T)
 
 
 class TestJacobi:
@@ -81,6 +117,14 @@ class TestJacobi:
         floor = np.sqrt(np.linalg.det(V))
         assert profits[-1] >= floor * (1.0 - 1e-10)
         assert abs(profits[-1] - floor) < 1e-8 * floor
+
+    def test_final_profit_matches_recomputed_blocks(self):
+        for trial in range(6):
+            n = 2 + trial
+            V, _, _ = gm.random_state(n, seed=510 + trial)
+            S, _, trace = gm.jacobi_decompose(V)
+            expect = np.prod(local_params(S @ V @ S.T))
+            assert abs(trace.steps[-1].profit - expect) <= 1e-12 * expect
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidCovarianceError):
@@ -200,6 +244,18 @@ class TestSynthesizeGeneral:
             assert np.allclose(
                 gm.symplectic_spectrum(V), kappa, atol=1e-8 * (1 + kappa[-1]), rtol=0
             )
+
+    def test_large_compatible_pair(self):
+        # m = kappa + delta with sorted delta >= 0 passes every partial sum,
+        # and the tail condition because sum(delta[:-1]) >= delta[-1]
+        n = 256
+        rng = np.random.default_rng(256)
+        kappa = np.sort(rng.uniform(1.0, 5.0, n))
+        m = kappa + np.sort(rng.uniform(0.1, 0.5, n))
+        S, V, trace = gm.synthesize(kappa, m)
+        assert len(trace.steps) <= n - 1
+        assert gm.verify(S, kappa, m).ok
+        assert rel_diff(V, S @ np.diag(np.repeat(kappa, 2)) @ S.T) < 1e-12
 
     def test_single_mode(self):
         S, V, trace = gm.synthesize((2.0,), (2.0,))

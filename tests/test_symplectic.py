@@ -5,6 +5,7 @@ import pytest
 
 import gmarginal as gm
 from gmarginal import InvalidCovarianceError
+from gmarginal.symplectic import _bs_block, _sq_block
 
 from conftest import block_isotropy_max, local_params, off_block_max, rand_local_symplectic
 
@@ -68,6 +69,17 @@ class TestGenerators:
             db = 0.5 * (W[2, 2] + W[3, 3])
             assert abs((da + db) - (a + b)) < 1e-12 * (a + b)
             assert block_isotropy_max(W) < 1e-12
+
+    def test_blocks_match_block_matrix_reference_bitwise(self):
+        """The 4x4 literals equal the np.block forms, signed zeros included."""
+        I2, Z2 = np.eye(2), np.diag([1.0, -1.0])
+        for x in (0.0, -0.0, 0.3, -1.1, np.pi / 2, 2.5, -4.0):
+            c, s = np.cos(x), np.sin(x)
+            ref = np.block([[c * I2, s * I2], [-s * I2, c * I2]])
+            assert _bs_block(x).tobytes() == ref.tobytes()
+            c, s = np.cosh(x), np.sinh(x)
+            ref = np.block([[c * I2, s * Z2], [s * Z2, c * I2]])
+            assert _sq_block(x).tobytes() == ref.tobytes()
 
     def test_squeezer_is_symplectic_not_orthogonal(self):
         G = gm.squeezer_pair(0.4, 1, 2, 2)
