@@ -30,6 +30,7 @@ from .solver import (
 from .spectra import (
     DominanceCertificate,
     WilliamsonFactorization,
+    check_physical,
     dominates,
     symplectic_spectrum,
     thermal_eigenvalues,
@@ -38,7 +39,6 @@ from .spectra import (
 from .symplectic import (
     DEFAULT_TOL,
     beam_splitter_pair,
-    check_physical,
     expand_two_mode,
     is_symplectic,
     local_normal_form,

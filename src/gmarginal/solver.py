@@ -27,12 +27,11 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import dominates, symplectic_spectrum, williamson
+from .spectra import check_physical, dominates, symplectic_spectrum, williamson
 from .symplectic import (
     DEFAULT_TOL,
     _bs_block,
     _sq_block,
-    check_physical,
     local_normal_form,
     mode_slice,
     symplectic_form,
@@ -204,8 +203,6 @@ def _general_pair_transform(M4, t_first, t_second, context):
     not hold.  Feasibility is re-derived from the submatrix's own spectrum;
     if even that fails, the schedule cannot continue.
     """
-    from .two_mode import _SWAP
-
     fac = williamson(M4)
     t_lo, t_hi = sorted((t_first, t_second))
     try:

@@ -1,4 +1,5 @@
-"""Symplectic spectra, normal-form factorization, dominance test, thermal eigenvalues."""
+"""Symplectic spectra, normal-form factorization, physicality and dominance
+tests, thermal eigenvalues."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .exceptions import InvalidCovarianceError, NumericalError
 from .symplectic import DEFAULT_TOL, symplectic_form, validate_covariance
@@ -45,60 +45,73 @@ def _sqrt_spd(V: np.ndarray) -> np.ndarray:
     return (U * np.sqrt(w)) @ U.T
 
 
+def _root_form(V: np.ndarray, tol: float):
+    """Validate V and return (V, V^(1/2), V^(1/2) Omega V^(1/2)).
+
+    The third matrix is antisymmetrized exactly; i times it is Hermitian
+    with eigenvalues -kappa_n, ..., -kappa_1, kappa_1, ..., kappa_n.
+    """
+    V = validate_covariance(V, tol)
+    root = _sqrt_spd(V)
+    A = root @ symplectic_form(V.shape[0] // 2) @ root
+    return V, root, 0.5 * (A - A.T)
+
+
 def symplectic_spectrum(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted nondecreasing.
 
     Computed as the positive eigenvalues of the Hermitian matrix
     i * V^(1/2) Omega V^(1/2), which avoids the non-normal product Omega V.
     """
-    V = validate_covariance(V, tol)
-    n = V.shape[0] // 2
-    root = _sqrt_spd(V)
-    A = root @ symplectic_form(n) @ root
-    A = 0.5 * (A - A.T)
-    w = np.linalg.eigvalsh(1j * A)
-    return w[n:].copy()
+    V, _, A = _root_form(V, tol)
+    return np.linalg.eigvalsh(1j * A)[V.shape[0] // 2 :].copy()
 
 
 def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     """Factor V as S diag(kappa pairs) S^T with S symplectic and kappa sorted.
 
-    The antisymmetric matrix V^(1/2) Omega V^(1/2) is brought to its real
-    canonical block form by an orthogonal congruence (a real Schur
-    decomposition); wrong-handed 2x2 blocks are fixed by swapping their two
-    columns, blocks are sorted by eigenvalue, and S is assembled as
-    V^(1/2) O D^(-1/2).
+    Uses the same Hermitian matrix i * A, A = V^(1/2) Omega V^(1/2), as
+    ``symplectic_spectrum``.  An eigenvector u = x + i y of i * A with
+    eigenvalue kappa > 0 satisfies A x = kappa y and A y = -kappa x, and
+    |x| = |y| = 1/sqrt(2) with x orthogonal to y, because u is orthogonal to
+    its conjugate (an eigenvector for -kappa).  So the columns
+    (sqrt(2) y, sqrt(2) x) of each positive eigenvector form the orthogonal
+    basis O with O^T A O the direct sum of [[0, kappa], [-kappa, 0]]: the
+    handedness is right by construction (entry (a, b) of each block is
+    +kappa).  ``eigh`` returns the eigenvalues ascending, so kappa comes out
+    sorted, tied kappa included, and S = V^(1/2) O D^(-1/2).
     """
-    V = validate_covariance(V, tol)
+    V, root, A = _root_form(V, tol)
     n = V.shape[0] // 2
-    root = _sqrt_spd(V)
+    w, U = np.linalg.eigh(1j * A)
+    kappa = w[n:].copy()
+    if kappa[0] <= 0.0:
+        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
+    O = np.empty((2 * n, 2 * n))
+    O[:, 0::2] = U[:, n:].imag
+    O[:, 1::2] = U[:, n:].real
+    d = np.repeat(kappa, 2)
+    S = root @ (O * np.sqrt(2.0 / d))
     omega = symplectic_form(n)
-    A = root @ omega @ root
-    A = 0.5 * (A - A.T)
-    T, Z = schur(A, output="real")
-    kappa = np.empty(n)
-    for j in range(n):
-        a, b = 2 * j, 2 * j + 1
-        if T[a, b] * T[b, a] >= 0.0:
-            raise NumericalError("canonical block structure broke down; matrix may be near-singular")
-        if T[a, b] < 0.0:
-            Z[:, [a, b]] = Z[:, [b, a]]
-            kappa[j] = -T[a, b]
-        else:
-            kappa[j] = T[a, b]
-    order = np.argsort(kappa, kind="stable")
-    kappa = kappa[order]
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    O = Z[:, cols]
-    S = root @ (O / np.sqrt(np.repeat(kappa, 2)))
     scale = 1.0 + float(np.max(np.abs(V)))
-    res_fact = float(np.max(np.abs(S @ np.diag(np.repeat(kappa, 2)) @ S.T - V)))
+    res_fact = float(np.max(np.abs((S * d) @ S.T - V)))
     res_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
     if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
         raise NumericalError("normal-form factorization did not reach the required accuracy")
     return WilliamsonFactorization(S=S, kappa=kappa)
+
+
+def check_physical(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True when the smallest symplectic eigenvalue of V is >= 1 - tol.
+
+    Returns False (instead of raising) when V is not a valid covariance
+    matrix, e.g. not positive definite.
+    """
+    try:
+        kappa = symplectic_spectrum(V, tol)
+    except InvalidCovarianceError:
+        return False
+    return bool(kappa[0] >= 1.0 - tol)
 
 
 def dominates(kappa, m) -> DominanceCertificate:

@@ -162,21 +162,6 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
     return 0.5 * (V2 + V2.T), locs, m
 
 
-def check_physical(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when the smallest symplectic eigenvalue of V is >= 1 - tol.
-
-    Returns False (instead of raising) when V is not a valid covariance
-    matrix, e.g. not positive definite.
-    """
-    from .spectra import symplectic_spectrum
-
-    try:
-        kappa = symplectic_spectrum(V, tol)
-    except InvalidCovarianceError:
-        return False
-    return bool(kappa[0] >= 1.0 - tol)
-
-
 def _rotation(phi: float) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, -s], [s, c]])

@@ -24,6 +24,7 @@ from .exceptions import (
     InfeasibleRedistributionError,
     InvalidCovarianceError,
 )
+from .spectra import williamson
 from .symplectic import (
     _bs_block,
     local_normal_form,
@@ -232,8 +233,6 @@ def pair_factor(a, b, t_a, t_b, tol: float = COUPLING_TOL) -> np.ndarray:
     Built from the normal-form factor of the reconstructed standard form,
     composed with mode swaps so that values land on the requested slots.
     """
-    from .spectra import williamson
-
     for v in (a, b, t_a, t_b):
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError("diagonal values must be positive reals")

@@ -1,9 +1,20 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
-from scipy.linalg import block_diag
 
 import gmarginal as gm
+
+
+def block_diag(*blocks):
+    """Direct sum of square blocks."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size))
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i : i + k, i : i + k] = b
+        i += k
+    return out
 
 
 def rotation2(phi):

@@ -256,12 +256,17 @@ class TestRandomCommand:
         capsys.readouterr()
 
 
-def test_entry_point_subprocess(tmp_path):
-    """The installed console script behaves like main()."""
-    # run the same package the tests import, installed or not
+def child_env():
+    """Environment for a child interpreter that imports the package the tests import."""
     pkg_root = os.path.dirname(os.path.dirname(gm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_entry_point_subprocess(tmp_path):
+    """The installed console script behaves like main()."""
+    env = child_env()
     g = tmp_path / "g.json"
     l = tmp_path / "l.json"
     g.write_text(json.dumps({"values": [1.0, 2.0]}))
@@ -275,3 +280,13 @@ def test_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["compatible"] is True
+
+
+def test_cli_import_pulls_in_no_scipy():
+    """Start-up cost guard: importing the CLI loads NumPy but no SciPy module."""
+    code = "import sys, gmarginal.cli; print(*[k for k in sys.modules if k.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

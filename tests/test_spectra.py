@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gmarginal as gm
-from gmarginal import InvalidCovarianceError
+from gmarginal import InvalidCovarianceError, solver
 
 from conftest import local_params, rand_local_symplectic
 
@@ -118,6 +118,32 @@ class TestWilliamson:
         V = np.diag([1.0, 1.0, 1.0, -0.5])
         with pytest.raises(InvalidCovarianceError):
             gm.williamson(V)
+
+    def test_tied_kappa_and_pivot_blocks(self, monkeypatch):
+        # all-vacuum n = 8 (kappa fully degenerate), a synthesized state with
+        # tied kappa, and the first 4x4 block jacobi_decompose factors
+        kappa = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0])
+        _, W, _ = gm.synthesize(kappa, np.array([1.5, 1.5, 2.0, 2.0, 2.5, 3.5]))
+        pivots = []
+
+        def recording_williamson(M4):
+            pivots.append(M4)
+            return gm.williamson(M4)
+
+        monkeypatch.setattr(solver, "williamson", recording_williamson)
+        gm.jacobi_decompose(gm.random_state(4, seed=5)[0])
+        assert pivots[0].shape == (4, 4)
+        cases = [(np.eye(16), np.ones(8)), (W, kappa), (pivots[0], None)]
+        for V, expected in cases:
+            fac = gm.williamson(V)
+            omega = gm.symplectic_form(V.shape[0] // 2)
+            D = np.diag(np.repeat(fac.kappa, 2))
+            assert np.all(np.diff(fac.kappa) >= 0.0)
+            assert np.allclose(fac.kappa, gm.symplectic_spectrum(V), rtol=1e-12, atol=0)
+            if expected is not None:
+                assert np.allclose(fac.kappa, expected, rtol=1e-12, atol=0)
+            assert np.abs(fac.S @ omega @ fac.S.T - omega).max() < 1e-12
+            assert np.abs(fac.S @ D @ fac.S.T - V).max() < 1e-12 * np.abs(V).max()
 
 
 class TestDominates:
