@@ -42,6 +42,7 @@ from .symplectic import (
     expand_two_mode,
     is_symplectic,
     local_normal_form,
+    local_parameters,
     mode_slice,
     random_state,
     squeezer_pair,
@@ -87,6 +88,7 @@ __all__ = [
     "is_symplectic",
     "jacobi_decompose",
     "local_normal_form",
+    "local_parameters",
     "mode_slice",
     "pair_factor",
     "random_state",

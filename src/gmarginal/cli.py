@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .solver import synthesize, verify
 from .spectra import dominates, symplectic_spectrum, williamson
-from .symplectic import mode_slice, random_state, validate_covariance
+from .symplectic import local_parameters, random_state
 from .two_mode import reconstruct_two_mode
 
 
@@ -182,18 +182,10 @@ def run_synthesize(global_path, local_path, out_path, trace_path=None) -> int:
 def run_decompose(matrix_path) -> int:
     V = _load_matrix(matrix_path)
     try:
-        validate_covariance(V)
         kappa = symplectic_spectrum(V)
+        m = local_parameters(V)
     except InvalidCovarianceError as exc:
         raise InputError(str(exc)) from exc
-    n = V.shape[0] // 2
-    m = np.empty(n)
-    for j in range(1, n + 1):
-        B = V[mode_slice(j), mode_slice(j)]
-        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        if det <= 0:
-            raise InputError(f"single-mode block {j} is not positive definite")
-        m[j - 1] = np.sqrt(det)
     cert = dominates(kappa, m)
     # both spectra are measured numerically from the same matrix, so the
     # certificate's exact slack signs wobble by round-off on boundary

@@ -27,7 +27,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import check_physical, dominates, symplectic_spectrum, williamson
+from .spectra import check_physical, dominates, symplectic_spectrum
 from .symplectic import (
     DEFAULT_TOL,
     _bs_block,
@@ -35,17 +35,9 @@ from .symplectic import (
     local_normal_form,
     mode_slice,
     symplectic_form,
-    symplectic_inverse,
     validate_covariance,
 )
-from .two_mode import (
-    _SWAP,
-    _rotations_diagonalizing,
-    bs_param,
-    pair_factor,
-    reconstruct_two_mode,
-    sq_param,
-)
+from .two_mode import _pivot_factor, bs_param, pair_factor, sq_param
 
 
 @dataclass(frozen=True)
@@ -134,16 +126,18 @@ def _apply_pair(W, S, T4, i, j):
 def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     """Diagonalize a physical covariance matrix by cyclic two-mode pivots.
 
-    Each pivot rotates the acting pair's off-block to diagonal with one
-    local rotation per mode and then applies the inverse normal-form factor
-    of the 4x4 submatrix, which zeroes the off-block and leaves both
-    single-mode blocks isotropic.  The profit prod_j sqrt(det B_j) strictly
+    Each pivot applies the inverse normal-form factor of the pair's 4x4
+    submatrix, which zeroes the off-block and leaves both single-mode blocks
+    isotropic.  The factor comes from the closed-form two-mode kernel
+    ``two_mode._pivot_factor`` (per-mode local normal form, the SVD
+    rotations of the off-block, closed-form 2x2 roots and SVD), so a pivot
+    calls no eigensolver.  The profit prod_j sqrt(det B_j) strictly
     decreases at every pivot and is bounded below by sqrt(det V), which
     forces convergence.
 
     Each pivot touches only the four rows and columns of its pair and
     updates only the pair's two profit factors, so it costs O(n) on top of
-    the 4x4 work; a sweep over all pairs costs O(n^3).
+    the O(1) scalar 4x4 work; a sweep over all pairs costs O(n^3).
 
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
@@ -173,14 +167,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                 if off <= tol:
                     continue
                 pivoted = True
-                Q1, Q2, _, _ = _rotations_diagonalizing(W[sj, sk])
-                Q4 = np.zeros((4, 4))
-                Q4[0:2, 0:2] = Q1
-                Q4[2:4, 2:4] = Q2
                 ids = _pair_ids(j, k)
-                M4 = W[np.ix_(ids, ids)]
-                fac = williamson(Q4 @ M4 @ Q4.T)
-                _apply_pair(W, S, symplectic_inverse(fac.S) @ Q4, j, k)
+                _apply_pair(W, S, _pivot_factor(W[ids[:, None], ids]), j, k)
                 factors[j - 1] = _local_factor(W, j)
                 factors[k - 1] = _local_factor(W, k)
                 steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
@@ -194,27 +182,6 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     kappa = np.sort([_block_stats(W, t)[0] for t in range(1, n + 1)])
     trace = JacobiTrace(steps=steps, sweeps=sweeps, converged=converged, initial_profit=initial_profit)
     return S, kappa, trace
-
-
-def _general_pair_transform(M4, t_first, t_second, context):
-    """Redo a scheduled pair step from the pair's actual 4x4 submatrix.
-
-    Used when the bookkeeping assumption (uncorrelated isotropic pair) does
-    not hold.  Feasibility is re-derived from the submatrix's own spectrum;
-    if even that fails, the schedule cannot continue.
-    """
-    fac = williamson(M4)
-    t_lo, t_hi = sorted((t_first, t_second))
-    try:
-        V_t = reconstruct_two_mode(t_lo, t_hi, float(fac.kappa[0]), float(fac.kappa[1]))
-    except IncompatibleSpectraError as exc:
-        err = NumericalError(f"correlated pair encountered and no rescue step exists: {exc}")
-        err.trace = context
-        raise err from exc
-    T4 = williamson(V_t).S @ symplectic_inverse(fac.S)
-    if t_first > t_second:
-        T4 = _SWAP @ T4
-    return T4
 
 
 def synthesize(kappa, m, tol: float = DEFAULT_TOL):
@@ -272,16 +239,20 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         dj, iso_j = _block_stats(W, j)
         cross = float(np.max(np.abs(W[mode_slice(i), mode_slice(j)])))
         if max(iso_i, iso_j) > atol or cross > atol:
-            ids = _pair_ids(i, j)
-            context = SynthesisTrace(
+            # the schedule never revisits a pair and BS/SQ keep the touched
+            # blocks isotropic, so this only trips on lost accuracy
+            err = NumericalError(
+                f"pair ({i}, {j}) is correlated or anisotropic before its step "
+                f"(cross {cross:.3e}, anisotropy {max(iso_i, iso_j):.3e})"
+            )
+            err.trace = SynthesisTrace(
                 steps=list(steps),
                 stage_counts=tuple(stage_counts),
                 stage1_finalized=0,
                 sum_gap_initial=sum_gap_initial,
             )
-            T4 = _general_pair_transform(W[np.ix_(ids, ids)], float(t_i), float(t_j), context)
-            kind, param = "GEN", (float(t_i), float(t_j))
-        elif kind == "BS":
+            raise err
+        if kind == "BS":
             T4 = _bs_block(float(param))
         elif kind == "SQ":
             T4 = _sq_block(float(param))

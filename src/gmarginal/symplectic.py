@@ -127,6 +127,22 @@ def validate_covariance(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (V + V.T)
 
 
+def local_parameters(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Local parameters m_j = sqrt(det B_j) of the single-mode blocks, in mode order.
+
+    Raises:
+        InvalidCovarianceError: V is not a valid covariance matrix, or a
+            single-mode block is not positive definite.
+    """
+    V = validate_covariance(V, tol)
+    d = V.diagonal()
+    det = d[0::2] * d[1::2] - V.diagonal(1)[0::2] * V.diagonal(-1)[0::2]
+    bad = np.flatnonzero((det <= 0.0) | (d[0::2] <= 0.0))
+    if bad.size:
+        raise InvalidCovarianceError(f"single-mode block {bad[0] + 1} is not positive definite")
+    return np.sqrt(det)
+
+
 def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
     """Bring every single-mode block to an isotropic multiple of the identity.
 
@@ -138,23 +154,17 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
         (V2, locals, m) where ``locals`` is a list of per-mode 2x2
         symplectics with unit determinant, ``V2 = L V L^T`` for the direct
         sum L of those blocks, every diagonal block of V2 equals m_j * I,
-        and ``m`` holds the local parameters sqrt(det B_j) in mode order.
+        and ``m`` holds the local parameters from ``local_parameters``.
     """
     V = validate_covariance(V, tol)
-    n = V.shape[0] // 2
+    m = local_parameters(V, tol)
     locs = []
-    m = np.empty(n)
     L = np.zeros_like(V)
-    for j in range(n):
+    for j in range(V.shape[0] // 2):
         s = mode_slice(j + 1)
-        B = V[s, s]
-        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        if det <= 0.0 or B[0, 0] <= 0.0:
-            raise InvalidCovarianceError(f"single-mode block {j + 1} is not positive definite")
-        w, U = np.linalg.eigh(B)
+        w, U = np.linalg.eigh(V[s, s])
         if w[0] <= 0.0:
             raise InvalidCovarianceError(f"single-mode block {j + 1} is not positive definite")
-        m[j] = np.sqrt(det)
         Lj = np.sqrt(m[j]) * ((U / np.sqrt(w)) @ U.T)
         locs.append(Lj)
         L[s, s] = Lj

@@ -15,6 +15,7 @@ kappa2), and the two couplings (k_x, k_p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,20 @@ from .exceptions import (
     IncompatibleSpectraError,
     InfeasibleRedistributionError,
     InvalidCovarianceError,
+    NumericalError,
 )
 from .spectra import williamson
 from .symplectic import (
     _bs_block,
     local_normal_form,
     symplectic_form,
-    symplectic_inverse,
     validate_covariance,
 )
 
 #: Relative tolerance used by the feasibility checks in this module.
 COUPLING_TOL = 1e-9
+
+_OMEGA2 = symplectic_form(2)
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,26 @@ def two_mode_invariants(V4):
     return sum_sq, float(np.linalg.det(V))
 
 
-def _rotations_diagonalizing(C):
-    """Rotations (Q1, Q2) and couplings with Q1 C Q2^T = diag(k_x, k_p).
+def _svd2(c00, c01, c10, c11):
+    """Closed-form SVD C = R(phi) diag(s1, s2) R(theta) of a real 2x2 matrix.
 
-    The couplings keep the sign of det C: k_x = s1 >= |k_p| and
-    k_p = sign(det C) * s2, where s1 >= s2 are the singular values.
+    R(x) = [[cos x, -sin x], [sin x, cos x]].  The singular values come out
+    as s1 >= |s2| with s2 carrying the sign of det C, so both factors are
+    rotations and R(-phi) C R(theta)^T = diag(s1, s2).  Returns
+    (phi, s1, s2, theta).
     """
-    U, sv, Vt = np.linalg.svd(C)
-    kx, kp = float(sv[0]), float(sv[1])
-    if np.linalg.det(U) < 0.0:
-        U = U @ np.diag([1.0, -1.0])
-        kp = -kp
-    if np.linalg.det(Vt) < 0.0:
-        Vt = np.diag([1.0, -1.0]) @ Vt
-        kp = -kp
-    return U.T, Vt, kx, kp
+    e, f = 0.5 * (c00 + c11), 0.5 * (c00 - c11)
+    g, h = 0.5 * (c10 + c01), 0.5 * (c10 - c01)
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    return 0.5 * (a2 + a1), q + r, q - r, 0.5 * (a2 - a1)
+
+
+def _rotation_pair(phi, theta):
+    """Rotations (R(-phi), R(theta)) as nested tuples, R as in ``_svd2``."""
+    cf, sf = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    return ((cf, sf), (-sf, cf)), ((ct, -st), (st, ct))
 
 
 def standard_form(V4, tol: float = COUPLING_TOL):
@@ -100,11 +108,105 @@ def standard_form(V4, tol: float = COUPLING_TOL):
     if np.linalg.eigvalsh(V)[0] <= 0.0:
         raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
     V2, locs, m = local_normal_form(V, tol=max(tol, 1e-10))
-    Q1, Q2, kx, kp = _rotations_diagonalizing(V2[0:2, 2:4])
-    loc1 = Q1 @ locs[0]
-    loc2 = Q2 @ locs[1]
+    phi, kx, kp, theta = _svd2(*V2[0:2, 2:4].ravel().tolist())
+    Q1, Q2 = _rotation_pair(phi, theta)
+    loc1 = np.asarray(Q1) @ locs[0]
+    loc2 = np.asarray(Q2) @ locs[1]
     m1, m2 = sorted((float(m[0]), float(m[1])))
     return TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp), [loc1, loc2]
+
+
+def _spd_roots(x0, xk, x1):
+    """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
+
+    Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
+    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Returns both roots as
+    nested tuples, then d.
+
+    Raises:
+        InvalidCovarianceError: X is not positive definite.
+    """
+    det = x0 * x1 - xk * xk
+    if x0 <= 0.0 or det <= 0.0:
+        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
+    d = math.sqrt(det)
+    t = math.sqrt(x0 + x1 + 2.0 * d)
+    u = 1.0 / (t * d)
+    root = (((x0 + d) / t, xk / t), (xk / t, (x1 + d) / t))
+    inv_root = (((x1 + d) * u, -xk * u), (-xk * u, (x0 + d) * u))
+    return root, inv_root, d
+
+
+def _mul2(A, B):
+    """Product of two 2x2 matrices given as nested sequences."""
+    return (
+        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
+    )
+
+
+def _pivot_factor(M4):
+    """Closed-form symplectic T with T M4 T^T = diag(k1, k1, k2, k2), k1 <= k2.
+
+    M4 is a positive definite 4x4 covariance block [[A, C], [C^T, B]].  All
+    work is on scalars, with one array built for T at the end:
+
+    0. L_A = sqrt(m_a) A^(-1/2) and L_B = sqrt(m_b) B^(-1/2) make the
+       single-mode blocks m_a I and m_b I, with m = sqrt(det).  In
+       ``jacobi_decompose`` they are already isotropic up to round-off, and
+       this step keeps that round-off from passing into later pivots.
+    1. The SVD rotations R(-phi), R(theta) of L_A C L_B bring the block to
+       standard form: X = [[m_a, k_x], [k_x, m_b]] on the q quadratures and
+       P = [[m_a, k_p], [k_p, m_b]] on the p quadratures.
+    2. K = X^(1/2) P^(1/2) = U diag(kappa) W^T, both in closed form; the
+       smaller kappa is taken from kappa1 kappa2 = sqrt(det X det P).
+    3. T_q = D^(1/2) U^T X^(-1/2) and T_p = D^(1/2) W^T P^(-1/2) act on the
+       q and p quadratures.  T_q T_p^T = I, so T is symplectic, and T^-1 has
+       the V^(1/2) O D^(-1/2) gauge of ``williamson``.
+
+    Raises:
+        InvalidCovarianceError: A, B, X or P is not positive definite.
+        NumericalError: a kappa is not positive, or S = T^-1 misses the
+            factorization and symplecticity gate of ``williamson``.
+    """
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M4.tolist()
+    _, ai, ma = _spd_roots(a00, a01, a11)
+    _, bi, mb = _spd_roots(b00, b01, b11)
+    la, lb = math.sqrt(ma), math.sqrt(mb)
+    LA = ((la * ai[0][0], la * ai[0][1]), (la * ai[1][0], la * ai[1][1]))
+    LB = ((lb * bi[0][0], lb * bi[0][1]), (lb * bi[1][0], lb * bi[1][1]))
+    C = _mul2(_mul2(LA, ((c00, c01), (c10, c11))), LB)  # L_B is symmetric
+    phi, kx, kp, theta = _svd2(C[0][0], C[0][1], C[1][0], C[1][1])
+    R1, R2 = _rotation_pair(phi, theta)
+    xh, xi, dx = _spd_roots(ma, kx, mb)
+    ph, pi, dp = _spd_roots(ma, kp, mb)
+    K = _mul2(xh, ph)
+    psi, big, _, chi = _svd2(K[0][0], K[0][1], K[1][0], K[1][1])
+    small = dx * dp / big
+    if not small > 0.0:
+        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
+    # U = R(psi) and W = R(chi)^T with their columns swapped, so that the
+    # first mode takes the smaller kappa
+    cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
+    rs, rb = math.sqrt(small), math.sqrt(big)
+    Tq = _mul2(((-rs * su, rs * cu), (rb * cu, rb * su)), xi)
+    Tp = _mul2(((rs * sw, rs * cw), (rb * cw, -rb * sw)), pi)
+    G1, G2 = _mul2(R1, LA), _mul2(R2, LB)
+    # row r of T is row r // 2 of T_q (r even) or T_p (r odd), spread over
+    # the two modes by the direct sum of G1 = R(-phi) L_A and G2 = R(theta) L_B
+    T = np.array(
+        [
+            [y0 * G1[t][0], y0 * G1[t][1], y1 * G2[t][0], y1 * G2[t][1]]
+            for (y0, y1), t in ((Tq[0], 0), (Tp[0], 1), (Tq[1], 0), (Tp[1], 1))
+        ]
+    )
+    S = _OMEGA2 @ T.T @ _OMEGA2.T  # T^-1 of a symplectic T
+    scale = 1.0 + max(a00, a11, b00, b11)  # the largest |entry| of a positive definite M4
+    res_fact = abs((S * [small, small, big, big]) @ S.T - M4).max()
+    res_symp = abs(S @ _OMEGA2 @ S.T - _OMEGA2).max()
+    if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
+        raise NumericalError("normal-form factorization did not reach the required accuracy")
+    return T
 
 
 def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):

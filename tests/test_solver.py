@@ -3,6 +3,8 @@ four-stage synthesis."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmarginal as gm
 from gmarginal import (
@@ -129,6 +131,23 @@ class TestJacobi:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidCovarianceError):
             gm.jacobi_decompose(np.diag([0.5, 0.5, 2.0, 2.0]))
+
+    def test_pivots_call_no_linear_algebra_routine(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh", "eigvalsh", "svd", "det", "inv"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        n = 6
+        _, _, trace = gm.jacobi_decompose(gm.random_state(n, seed=17)[0])
+        # only the set-up calls np.linalg: the physicality check (one
+        # eigh, one eigvalsh) and the local normal form (one eigh per mode)
+        assert len(trace.steps) > 10 * n
+        assert sorted(calls) == ["eigh"] * (n + 1) + ["eigvalsh"]
 
     def test_sweep_budget_returns_partial(self):
         V, _, _ = gm.random_state(6, seed=17)
@@ -257,6 +276,21 @@ class TestSynthesizeGeneral:
         assert gm.verify(S, kappa, m).ok
         assert rel_diff(V, S @ np.diag(np.repeat(kappa, 2)) @ S.T) < 1e-12
 
+    def test_correlated_pair_raises_with_partial_trace(self, monkeypatch):
+        # correlate modes 2 and 6 behind the schedule's back after the first
+        # step, so the second step, on (2, 6), finds its pair correlated
+        def leaky_apply_pair(W, S, T4, i, j):
+            _apply_pair(W, S, T4, i, j)
+            W[2, 10] += 1e-3
+            W[10, 2] += 1e-3
+
+        monkeypatch.setattr(gm.solver, "_apply_pair", leaky_apply_pair)
+        with pytest.raises(gm.NumericalError, match=r"pair \(2, 6\)") as info:
+            gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        trace = info.value.trace
+        assert [s.pair for s in trace.steps] == SEVEN_PAIRS[:1]
+        assert trace.stage_counts == (1, 0, 0, 0)
+
     def test_single_mode(self):
         S, V, trace = gm.synthesize((2.0,), (2.0,))
         assert trace.steps == [] and np.allclose(V, 2.0 * np.eye(2), atol=0)
@@ -276,6 +310,69 @@ class TestSynthesizeGeneral:
             gm.synthesize((0.5, 2.0), (1.0, 1.5))
         with pytest.raises(IncompatibleSpectraError):
             gm.synthesize((1.0, 1.0), (1.0, 3.0))
+
+
+GRID = 1.0 / 64.0
+
+
+@st.composite
+def dominated_spectra(draw):
+    """(kappa, m, face, k) with m dominated by kappa, on a dyadic grid.
+
+    m starts at kappa, where every slack is zero, and takes two kinds of
+    step that keep it dominated: a transfer between two entries (which
+    keeps the sum and never raises the maximum) and a raise of two entries
+    by the same amount (which keeps the tail slack when one of them is the
+    largest entry).  Every value stays on the 1/64 grid, so the slacks are
+    exact.  Faces: "tied" draws kappa from {1, 2, 4}; "prefix" leaves the k
+    smallest entries alone, so the first k partial-sum slacks stay zero;
+    "tail" never lowers the largest entry and raises it with every raise,
+    so the tail slack stays zero.
+    """
+    n = draw(st.integers(2, 40))
+    face = draw(st.sampled_from(["interior", "tied", "prefix", "tail"]))
+    units = st.sampled_from((64, 128, 256)) if face == "tied" else st.integers(64, 320)
+    kappa = np.sort(draw(st.lists(units, min_size=n, max_size=n))) * GRID
+    k = draw(st.integers(1, n - 1)) if face == "prefix" else 0
+    index = st.integers(k, n - 1)
+    ops = draw(st.lists(st.tuples(st.booleans(), index, index, st.integers(1, 3)), max_size=2 * n))
+    m = kappa.copy()
+    for transfer, i, j, w in ops:
+        if i == j:
+            continue
+        if transfer:
+            if face == "tail" and max(m[i], m[j]) >= m.max():
+                continue
+            shift = round(0.25 * w * (m[j] - m[i]) / GRID) * GRID
+            m[i] += shift
+            m[j] -= shift
+        else:
+            if face == "tail" and max(m[i], m[j]) < m.max():
+                j = int(np.argmax(m))
+            m[i] += 16 * w * GRID
+            m[j] += 16 * w * GRID
+    return kappa, np.sort(m), face, k
+
+
+class TestSynthesizeProperties:
+    """The schedule on the dominance polytope and its boundary faces."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(dominated_spectra())
+    def test_succeeds_within_n_minus_one_steps(self, case):
+        kappa, m, face, k = case
+        n = kappa.size
+        cert = gm.dominates(kappa, m)
+        assert cert.compatible
+        if face == "tied" and n > 3:
+            assert np.any(np.diff(kappa) == 0.0)
+        if face == "prefix":
+            assert np.all(cert.partial_sum_slacks[:k] == 0.0)
+        if face == "tail":
+            assert cert.tail_slack == 0.0
+        S, _, trace = gm.synthesize(kappa, m)
+        assert len(trace.steps) <= n - 1
+        assert gm.verify(S, kappa, m).ok
 
 
 class TestVerify:

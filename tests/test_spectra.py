@@ -8,6 +8,7 @@ import pytest
 
 import gmarginal as gm
 from gmarginal import InvalidCovarianceError, solver
+from gmarginal.two_mode import _pivot_factor
 
 from conftest import local_params, rand_local_symplectic
 
@@ -126,11 +127,11 @@ class TestWilliamson:
         _, W, _ = gm.synthesize(kappa, np.array([1.5, 1.5, 2.0, 2.0, 2.5, 3.5]))
         pivots = []
 
-        def recording_williamson(M4):
-            pivots.append(M4)
-            return gm.williamson(M4)
+        def recording_pivot_factor(M4):
+            pivots.append(M4.copy())
+            return _pivot_factor(M4)
 
-        monkeypatch.setattr(solver, "williamson", recording_williamson)
+        monkeypatch.setattr(solver, "_pivot_factor", recording_pivot_factor)
         gm.jacobi_decompose(gm.random_state(4, seed=5)[0])
         assert pivots[0].shape == (4, 4)
         cases = [(np.eye(16), np.ones(8)), (W, kappa), (pivots[0], None)]

@@ -167,6 +167,22 @@ def test_local_normal_form_makes_blocks_isotropic():
             gm.symplectic_spectrum(W), gm.symplectic_spectrum(V), atol=1e-8, rtol=0
         )
         assert np.allclose(local_params(V), m, atol=1e-10, rtol=0)
+        # same arithmetic as the per-block loop, so equal to the last bit
+        loop = [
+            np.sqrt(V[i, i] * V[i + 1, i + 1] - V[i, i + 1] * V[i + 1, i])
+            for i in range(0, 2 * n, 2)
+        ]
+        assert np.array_equal(gm.local_parameters(V), loop)
+        assert np.array_equal(m, loop)
+
+
+def test_local_parameters_rejects_non_positive_blocks():
+    V = np.diag([2.0, 2.0, 1.0, 1.0, 3.0, 3.0])
+    V[2:4, 2:4] = [[1.0, 1.5], [1.5, 1.0]]  # det < 0
+    with pytest.raises(InvalidCovarianceError, match="single-mode block 2 is not"):
+        gm.local_parameters(V)
+    with pytest.raises(InvalidCovarianceError, match="single-mode block 1 is not"):
+        gm.local_parameters(-np.eye(4))  # det > 0 but negative definite
 
 
 def test_check_physical():

@@ -1,5 +1,6 @@
 """Tests for the two-mode machinery: standard form, coupling solver,
-redistribution parameters, and the general pair factor."""
+redistribution parameters, the general pair factor, and the closed-form
+Jacobi pivot factor."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from gmarginal import (
     InfeasibleRedistributionError,
     InvalidCovarianceError,
     TwoModeStandardForm,
+    solver,
 )
+from gmarginal.two_mode import _pivot_factor
 
 from conftest import rand_local_symplectic, random_compatible_quadruple
 
@@ -24,6 +27,25 @@ def form_matrix(m1, m2, kx, kp):
     V[0, 2] = V[2, 0] = kx
     V[1, 3] = V[3, 1] = kp
     return V
+
+
+def pair_block(a, b, C):
+    """[[a I, C], [C^T, b I]], the pivot block shape inside jacobi_decompose."""
+    M = np.diag([a, a, b, b])
+    M[0:2, 2:4] = C
+    M[2:4, 0:2] = np.transpose(C)
+    return M
+
+
+def check_pivot_factor(M4):
+    """T M4 T^T = diag(k1, k1, k2, k2) with k the symplectic spectrum, T symplectic."""
+    T = _pivot_factor(M4)
+    D = T @ M4 @ T.T
+    kappa = gm.symplectic_spectrum(M4)
+    omega = gm.symplectic_form(2)
+    assert np.abs(D - np.diag(np.repeat(kappa, 2))).max() <= 1e-12 * kappa[1]
+    assert np.abs(T @ omega @ T.T - omega).max() <= 1e-12
+    assert np.allclose(np.diag(D)[::2], kappa, rtol=1e-12, atol=0)
 
 
 class TestInvariants:
@@ -102,6 +124,8 @@ class TestStandardForm:
             if abs(W[0, 0] - form1.m1) > abs(W[0, 0] - form1.m2):
                 expect = form_matrix(form1.m2, form1.m1, form1.k_x, form1.k_p)
             assert np.abs(W - expect).max() < 1e-9 * max(1.0, np.abs(W).max())
+            # the pivot factor also takes blocks that are not isotropic
+            check_pivot_factor(L @ V @ L.T)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidCovarianceError):
@@ -173,6 +197,7 @@ class TestReconstruct:
             )
             form, _ = gm.standard_form(V)
             assert abs(form.m1 - m1) < 1e-8 and abs(form.m2 - m2) < 1e-8
+            check_pivot_factor(V)
 
     def test_requires_sorted_pairs(self):
         with pytest.raises(ValueError):
@@ -349,3 +374,58 @@ class TestPairFactor:
         # spread would have to grow
         with pytest.raises(InfeasibleRedistributionError):
             gm.pair_factor(2.0, 3.0, 1.5, 4.5)
+
+
+class TestPivotFactor:
+    """The closed-form 4x4 factor behind every jacobi_decompose pivot."""
+
+    def test_random_isotropic_blocks(self):
+        rng = np.random.default_rng(60)
+        for _ in range(N_SAMPLES):
+            a, b = rng.uniform(1.0, 6.0, size=2)
+            # singular values of C below sqrt(a b) keep the block positive definite
+            c = rng.uniform(0.0, 0.95, size=2) * np.sqrt(a * b)
+            R1, R2 = (gm.beam_splitter_pair(t, 1, 2, 2)[0:2, 0:2] for t in rng.uniform(0, 6, 2))
+            for sign in (1.0, -1.0):  # det C > 0 and det C < 0
+                check_pivot_factor(pair_block(a, b, R1 @ np.diag([c[0], sign * c[1]]) @ R2))
+
+    def test_edge_blocks(self):
+        r = 0.4
+        ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+        cases = [
+            pair_block(1.5, 3.0, np.zeros((2, 2))),  # C = 0
+            pair_block(2.0, 2.0, np.zeros((2, 2))),  # C = 0 and a = b: tied kappa
+            form_matrix(2.0, 2.0, 1.0, 1.0),  # k_x = k_p, a = b
+            form_matrix(2.0, 3.5, 0.8, 0.8),  # k_x = k_p
+            form_matrix(2.0, 3.5, 0.8, -0.8),  # k_x = -k_p
+            form_matrix(ch, ch, sh, -sh),  # two-mode squeezed vacuum: kappa = (1, 1)
+            2.5 * form_matrix(ch, ch, sh, -sh),  # tied kappa = (2.5, 2.5)
+            pair_block(2.0, 3.0, np.array([[0.0, 0.7], [0.7, 0.0]])),  # det C < 0
+            pair_block(2.0, 3.0, np.array([[0.0, 0.7], [-0.7, 0.0]])),  # det C > 0, rotated
+            form_matrix(1.0, 9.0, 2.5, 0.0),  # rank-one C
+        ]
+        for M4 in cases:
+            check_pivot_factor(M4)
+
+    def test_blocks_from_random_state_pivots(self, monkeypatch):
+        blocks = []
+
+        def recording_pivot_factor(M4):
+            blocks.append(M4.copy())
+            return _pivot_factor(M4)
+
+        monkeypatch.setattr(solver, "_pivot_factor", recording_pivot_factor)
+        for seed in (3, 11):
+            gm.jacobi_decompose(gm.random_state(4, seed=seed)[0])
+        assert len(blocks) > 20
+        for M4 in blocks:
+            check_pivot_factor(M4)
+
+    def test_rejects_non_positive_definite(self):
+        for M4 in (
+            form_matrix(1.0, 1.0, 1.2, 0.0),  # X indefinite
+            form_matrix(1.0, 1.0, 0.2, -1.5),  # P indefinite
+            pair_block(-1.0, 2.0, np.zeros((2, 2))),  # a single-mode block
+        ):
+            with pytest.raises(InvalidCovarianceError):
+                _pivot_factor(M4)
