@@ -23,7 +23,7 @@ from .exceptions import (
     UnphysicalSpectrumError,
 )
 from .solver import synthesize, verify
-from .spectra import dominates, symplectic_spectrum, williamson
+from .spectra import _within_slack, dominates, symplectic_spectrum, williamson
 from .symplectic import local_parameters, random_state
 from .two_mode import reconstruct_two_mode
 
@@ -188,13 +188,8 @@ def run_decompose(matrix_path) -> int:
         raise InputError(str(exc)) from exc
     cert = dominates(kappa, m)
     # both spectra are measured numerically from the same matrix, so the
-    # certificate's exact slack signs wobble by round-off on boundary
-    # instances (e.g. an uncoupled matrix, where every slack is zero);
-    # the verdict therefore gets a small relative slack allowance
-    slack = 1e-9 * (1.0 + float(np.sum(np.abs(m))))
-    compatible = bool(
-        min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack) >= -slack
-    )
+    # verdict allows round-off in the slack signs on boundary instances
+    _, compatible = _within_slack(cert)
     doc = _certificate_doc(cert)
     doc["compatible"] = compatible
     doc = {

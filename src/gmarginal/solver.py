@@ -27,7 +27,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import check_physical, dominates, symplectic_spectrum
+from .spectra import _within_slack, check_physical, dominates, symplectic_spectrum
 from .symplectic import (
     DEFAULT_TOL,
     _bs_block,
@@ -96,6 +96,11 @@ def _block_stats(W, i):
     return float(c), iso
 
 
+def _off_max(W, j, k):
+    """Largest |entry| of the off-diagonal block between modes j and k."""
+    return float(abs(W[mode_slice(j), mode_slice(k)]).max())
+
+
 def _pair_ids(i, j):
     return np.array([2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1])
 
@@ -162,8 +167,7 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
         pivoted = False
         for j in range(1, n):
             for k in range(j + 1, n + 1):
-                sj, sk = mode_slice(j), mode_slice(k)
-                off = float(np.max(np.abs(W[sj, sk])))
+                off = _off_max(W, j, k)
                 if off <= tol:
                     continue
                 pivoted = True
@@ -177,7 +181,7 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     converged = True
     for j in range(1, n):
         for k in range(j + 1, n + 1):
-            if float(np.max(np.abs(W[mode_slice(j), mode_slice(k)]))) > tol:
+            if _off_max(W, j, k) > tol:
                 converged = False
     kappa = np.sort([_block_stats(W, t)[0] for t in range(1, n + 1)])
     trace = JacobiTrace(steps=steps, sweeps=sweeps, converged=converged, initial_profit=initial_profit)
@@ -209,18 +213,16 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     m = np.asarray(m, dtype=float)
     if kappa.ndim != 1 or kappa.shape != m.shape or kappa.size == 0:
         raise ValueError("expected two equal-length, nonempty parameter vectors")
-    if np.any(kappa <= 0.0) or np.any(m <= 0.0):
-        raise ValueError("spectral parameters must be positive")
+    if not np.all(np.isfinite(kappa) & np.isfinite(m) & (kappa > 0.0) & (m > 0.0)):
+        raise ValueError("spectral parameters must be positive finite reals")
     if np.any(np.diff(kappa) < 0.0) or np.any(np.diff(m) < 0.0):
         raise ValueError("parameter vectors must be sorted nondecreasing")
     if kappa[0] < 1.0 - 1e-9:
         raise UnphysicalSpectrumError(
             f"smallest global parameter {kappa[0]} is below the vacuum value 1"
         )
-    cert = dominates(kappa, m)
-    dom_slack = 1e-9 * (1.0 + float(np.sum(np.abs(m))))
-    worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
-    if worst < -dom_slack:
+    worst, ok = _within_slack(dominates(kappa, m))
+    if not ok:
         raise IncompatibleSpectraError(
             f"local parameters are not dominated by the global ones (worst slack {worst:.3e})"
         )
@@ -237,7 +239,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     def apply_step(stage, kind, i, j, param, transfer, t_i, t_j):
         di, iso_i = _block_stats(W, i)
         dj, iso_j = _block_stats(W, j)
-        cross = float(np.max(np.abs(W[mode_slice(i), mode_slice(j)])))
+        cross = _off_max(W, i, j)
         if max(iso_i, iso_j) > atol or cross > atol:
             # the schedule never revisits a pair and BS/SQ keep the touched
             # blocks isotropic, so this only trips on lost accuracy

@@ -140,6 +140,16 @@ def dominates(kappa, m) -> DominanceCertificate:
     )
 
 
+def _within_slack(cert: DominanceCertificate):
+    """(worst slack, ok): ok allows round-off down to -1e-9 (1 + sum |m|).
+
+    Computed spectra wobble by round-off on the boundary faces, e.g. an
+    uncoupled matrix, where every slack is zero.
+    """
+    worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
+    return worst, bool(worst >= -1e-9 * (1.0 + float(np.sum(np.abs(cert.m_sorted)))))
+
+
 def thermal_eigenvalues(params, count: int):
     """Largest ``count`` eigenvalues of a product thermal state, descending.
 

@@ -7,6 +7,8 @@ columns 2j-2 and 2j-1.  Mode indices in the public API are 1-based.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import InvalidCovarianceError
@@ -143,8 +145,33 @@ def local_parameters(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.sqrt(det)
 
 
+def _spd_roots(x0, xk, x1):
+    """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
+
+    Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
+    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Returns both roots as
+    nested tuples, then d.
+
+    Raises:
+        InvalidCovarianceError: X is not positive definite.
+    """
+    det = x0 * x1 - xk * xk
+    if x0 <= 0.0 or det <= 0.0:
+        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
+    d = math.sqrt(det)
+    t = math.sqrt(x0 + x1 + 2.0 * d)
+    u = 1.0 / (t * d)
+    root = (((x0 + d) / t, xk / t), (xk / t, (x1 + d) / t))
+    inv_root = (((x1 + d) * u, -xk * u), (-xk * u, (x0 + d) * u))
+    return root, inv_root, d
+
+
 def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
     """Bring every single-mode block to an isotropic multiple of the identity.
+
+    L_j = sqrt(m_j) B_j^(-1/2) comes from the closed-form root ``_spd_roots``,
+    step 0 of the two-mode kernel ``two_mode._pivot_factor``, so no
+    eigensolver runs; L acts block by block on rows, then columns.
 
     Args:
         V: 2n x 2n covariance matrix.
@@ -158,18 +185,13 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
     """
     V = validate_covariance(V, tol)
     m = local_parameters(V, tol)
-    locs = []
-    L = np.zeros_like(V)
-    for j in range(V.shape[0] // 2):
-        s = mode_slice(j + 1)
-        w, U = np.linalg.eigh(V[s, s])
-        if w[0] <= 0.0:
-            raise InvalidCovarianceError(f"single-mode block {j + 1} is not positive definite")
-        Lj = np.sqrt(m[j]) * ((U / np.sqrt(w)) @ U.T)
-        locs.append(Lj)
-        L[s, s] = Lj
-    V2 = L @ V @ L.T
-    return 0.5 * (V2 + V2.T), locs, m
+    n = V.shape[0] // 2
+    d = V.diagonal()
+    blocks = zip(d[0::2].tolist(), V.diagonal(1)[0::2].tolist(), d[1::2].tolist())
+    L = np.array([_spd_roots(*b)[1] for b in blocks]) * np.sqrt(m)[:, None, None]
+    rows = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
+    V2 = (L @ rows.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T
+    return 0.5 * (V2 + V2.T), list(L), m
 
 
 def _rotation(phi: float) -> np.ndarray:

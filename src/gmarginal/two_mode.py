@@ -26,11 +26,11 @@ from .exceptions import (
     InvalidCovarianceError,
     NumericalError,
 )
-from .spectra import williamson
 from .symplectic import (
     _bs_block,
-    local_normal_form,
+    _spd_roots,
     symplectic_form,
+    symplectic_inverse,
     validate_covariance,
 )
 
@@ -91,52 +91,6 @@ def _rotation_pair(phi, theta):
     return ((cf, sf), (-sf, cf)), ((ct, -st), (st, ct))
 
 
-def standard_form(V4, tol: float = COUPLING_TOL):
-    """Reduce a two-mode covariance matrix to its canonical standard form.
-
-    First each single-mode block is made isotropic, then one rotation per
-    mode diagonalizes the off-diagonal block (a two-sided singular value
-    step).  The returned parameters are canonical: m1 <= m2, k_x >= |k_p|,
-    and sign(k_p) equals the sign of the off-block determinant.
-
-    Returns:
-        (TwoModeStandardForm, locals) where ``locals`` are the per-mode 2x2
-        symplectics that bring V4 to standard shape in the original mode
-        order.
-    """
-    V = validate_covariance(_require_4x4(V4))
-    if np.linalg.eigvalsh(V)[0] <= 0.0:
-        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
-    V2, locs, m = local_normal_form(V, tol=max(tol, 1e-10))
-    phi, kx, kp, theta = _svd2(*V2[0:2, 2:4].ravel().tolist())
-    Q1, Q2 = _rotation_pair(phi, theta)
-    loc1 = np.asarray(Q1) @ locs[0]
-    loc2 = np.asarray(Q2) @ locs[1]
-    m1, m2 = sorted((float(m[0]), float(m[1])))
-    return TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp), [loc1, loc2]
-
-
-def _spd_roots(x0, xk, x1):
-    """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
-
-    Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
-    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Returns both roots as
-    nested tuples, then d.
-
-    Raises:
-        InvalidCovarianceError: X is not positive definite.
-    """
-    det = x0 * x1 - xk * xk
-    if x0 <= 0.0 or det <= 0.0:
-        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
-    d = math.sqrt(det)
-    t = math.sqrt(x0 + x1 + 2.0 * d)
-    u = 1.0 / (t * d)
-    root = (((x0 + d) / t, xk / t), (xk / t, (x1 + d) / t))
-    inv_root = (((x1 + d) * u, -xk * u), (-xk * u, (x0 + d) * u))
-    return root, inv_root, d
-
-
 def _mul2(A, B):
     """Product of two 2x2 matrices given as nested sequences."""
     return (
@@ -145,11 +99,62 @@ def _mul2(A, B):
     )
 
 
+def _standard_shape(M4):
+    """Steps 0-1 of ``_pivot_factor`` on M4 = [[A, C], [C^T, B]].
+
+    Returns (m_a, m_b, k_x, k_p, G1, G2), k_x >= |k_p|, with the nested
+    tuples G1 = R(-phi) L_A and G2 = R(theta) L_B that bring M4 to the
+    standard shape.  Raises InvalidCovarianceError when A or B is not
+    positive definite.
+    """
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M4.tolist()
+    _, ai, ma = _spd_roots(a00, a01, a11)
+    _, bi, mb = _spd_roots(b00, b01, b11)
+    la, lb = math.sqrt(ma), math.sqrt(mb)
+    LA = ((la * ai[0][0], la * ai[0][1]), (la * ai[1][0], la * ai[1][1]))
+    LB = ((lb * bi[0][0], lb * bi[0][1]), (lb * bi[1][0], lb * bi[1][1]))
+    C = _mul2(_mul2(LA, ((c00, c01), (c10, c11))), LB)  # L_B is symmetric
+    phi, kx, kp, theta = _svd2(C[0][0], C[0][1], C[1][0], C[1][1])
+    R1, R2 = _rotation_pair(phi, theta)
+    return ma, mb, kx, kp, _mul2(R1, LA), _mul2(R2, LB)
+
+
+def standard_form(V4):
+    """Reduce a two-mode covariance matrix to its canonical standard form.
+
+    These are steps 0-1 of the two-mode kernel ``_pivot_factor``: each
+    single-mode block is made isotropic, then one rotation per mode
+    diagonalizes the off-diagonal block, all in closed form, so the locals
+    do not depend on eigenvector signs.  The parameters are canonical:
+    m1 <= m2, k_x >= |k_p|, and sign(k_p) equals the sign of the off-block
+    determinant.
+
+    Returns:
+        (TwoModeStandardForm, locals) where ``locals`` are the per-mode 2x2
+        symplectics that bring V4 to standard shape in the original mode
+        order.
+
+    Raises:
+        InvalidCovarianceError: V4 is not positive definite.
+    """
+    ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)))
+    # the standard shape is X (+) P on the q and p quadratures, and
+    # k_x >= |k_p|, so X positive definite implies P positive definite
+    if not ma * mb - kx * kx > 0.0:
+        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
+    m1, m2 = sorted((ma, mb))
+    return TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp), [np.array(G1), np.array(G2)]
+
+
 def _pivot_factor(M4):
     """Closed-form symplectic T with T M4 T^T = diag(k1, k1, k2, k2), k1 <= k2.
 
-    M4 is a positive definite 4x4 covariance block [[A, C], [C^T, B]].  All
-    work is on scalars, with one array built for T at the end:
+    The package's one two-mode normal form: ``jacobi_decompose`` pivots
+    with it, ``pair_factor`` inverts it, ``standard_form`` is its steps 0-1
+    (``_standard_shape``).  M4 is a positive definite 4x4 covariance block
+    [[A, C], [C^T, B]].  All work is on scalars, with one array built for T
+    at the end, and every angle comes from ``atan2``, so no eigenvector
+    phase enters the gauge:
 
     0. L_A = sqrt(m_a) A^(-1/2) and L_B = sqrt(m_b) B^(-1/2) make the
        single-mode blocks m_a I and m_b I, with m = sqrt(det).  In
@@ -169,15 +174,7 @@ def _pivot_factor(M4):
         NumericalError: a kappa is not positive, or S = T^-1 misses the
             factorization and symplecticity gate of ``williamson``.
     """
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M4.tolist()
-    _, ai, ma = _spd_roots(a00, a01, a11)
-    _, bi, mb = _spd_roots(b00, b01, b11)
-    la, lb = math.sqrt(ma), math.sqrt(mb)
-    LA = ((la * ai[0][0], la * ai[0][1]), (la * ai[1][0], la * ai[1][1]))
-    LB = ((lb * bi[0][0], lb * bi[0][1]), (lb * bi[1][0], lb * bi[1][1]))
-    C = _mul2(_mul2(LA, ((c00, c01), (c10, c11))), LB)  # L_B is symmetric
-    phi, kx, kp, theta = _svd2(C[0][0], C[0][1], C[1][0], C[1][1])
-    R1, R2 = _rotation_pair(phi, theta)
+    ma, mb, kx, kp, G1, G2 = _standard_shape(M4)
     xh, xi, dx = _spd_roots(ma, kx, mb)
     ph, pi, dp = _spd_roots(ma, kp, mb)
     K = _mul2(xh, ph)
@@ -191,7 +188,6 @@ def _pivot_factor(M4):
     rs, rb = math.sqrt(small), math.sqrt(big)
     Tq = _mul2(((-rs * su, rs * cu), (rb * cu, rb * su)), xi)
     Tp = _mul2(((rs * sw, rs * cw), (rb * cw, -rb * sw)), pi)
-    G1, G2 = _mul2(R1, LA), _mul2(R2, LB)
     # row r of T is row r // 2 of T_q (r even) or T_p (r odd), spread over
     # the two modes by the direct sum of G1 = R(-phi) L_A and G2 = R(theta) L_B
     T = np.array(
@@ -201,7 +197,7 @@ def _pivot_factor(M4):
         ]
     )
     S = _OMEGA2 @ T.T @ _OMEGA2.T  # T^-1 of a symplectic T
-    scale = 1.0 + max(a00, a11, b00, b11)  # the largest |entry| of a positive definite M4
+    scale = 1.0 + float(M4.diagonal().max())  # the largest |entry| of a positive definite M4
     res_fact = abs((S * [small, small, big, big]) @ S.T - M4).max()
     res_symp = abs(S @ _OMEGA2 @ S.T - _OMEGA2).max()
     if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
@@ -332,7 +328,8 @@ def pair_factor(a, b, t_a, t_b, tol: float = COUPLING_TOL) -> np.ndarray:
     exceed the sources' sum while their spread must not exceed the sources'
     spread.
 
-    Built from the normal-form factor of the reconstructed standard form,
+    S is the inverse of the closed-form kernel ``_pivot_factor`` on the
+    reconstructed standard form, so it depends on (a, b, t_a, t_b) alone,
     composed with mode swaps so that values land on the requested slots.
     """
     for v in (a, b, t_a, t_b):
@@ -345,8 +342,7 @@ def pair_factor(a, b, t_a, t_b, tol: float = COUPLING_TOL) -> np.ndarray:
         raise InfeasibleRedistributionError(
             f"targets ({t_a}, {t_b}) are not reachable from ({a}, {b})"
         )
-    V_t = reconstruct_two_mode(t_lo, t_hi, s_lo, s_hi)
-    S = williamson(V_t).S
+    S = symplectic_inverse(_pivot_factor(reconstruct_two_mode(t_lo, t_hi, s_lo, s_hi)))
     if a > b:
         S = S @ _SWAP
     if t_a > t_b:

@@ -75,3 +75,17 @@ def random_compatible_quadruple(rng, gap=0.05):
     hi = m1 + (k2 - k1)
     m2 = rng.uniform(lo, hi)
     return m1, m2, k1, k2
+
+
+def count_linalg_calls(monkeypatch):
+    """Wrap the np.linalg factorizations; return the list their calls append to."""
+    calls = []
+    for name in ("eig", "eigh", "eigvalsh", "svd", "det", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

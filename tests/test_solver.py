@@ -144,10 +144,10 @@ class TestJacobi:
             monkeypatch.setattr(np.linalg, name, counted)
         n = 6
         _, _, trace = gm.jacobi_decompose(gm.random_state(n, seed=17)[0])
-        # only the set-up calls np.linalg: the physicality check (one
-        # eigh, one eigvalsh) and the local normal form (one eigh per mode)
+        # only the physicality check calls np.linalg (one eigh, one
+        # eigvalsh); the local normal form and every pivot are closed-form
         assert len(trace.steps) > 10 * n
-        assert sorted(calls) == ["eigh"] * (n + 1) + ["eigvalsh"]
+        assert sorted(calls) == ["eigh", "eigvalsh"]
 
     def test_sweep_budget_returns_partial(self):
         V, _, _ = gm.random_state(6, seed=17)
@@ -180,6 +180,26 @@ class TestSynthesizeSevenModes:
         assert report.diagonal_residual < 1e-10
         assert report.spectrum_residual < 1e-10
         assert np.allclose(np.diag(V)[::2], SEVEN_M, atol=1e-9, rtol=0)
+
+    def test_output_does_not_depend_on_eigenvector_phases(self, monkeypatch):
+        """The stage-3 factor is closed-form, so S and V are fixed by (kappa, m)."""
+        S0, V0, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        W = gm.random_state(3, seed=5)[0]
+        S_will = gm.williamson(W).S
+        real_eigh = np.linalg.eigh
+
+        def phased_eigh(a, *args, **kwargs):
+            w, U = real_eigh(a, *args, **kwargs)
+            if np.iscomplexobj(U):
+                U = U * np.exp(1j * np.arange(1, U.shape[1] + 1))  # one phase per column
+            return w, U
+
+        monkeypatch.setattr(np.linalg, "eigh", phased_eigh)
+        # the patch is live: an eigh-based factor moves with the phases
+        assert np.abs(gm.williamson(W).S - S_will).max() > 1e-3
+        S1, V1, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        assert np.array_equal(S1, S0)
+        assert np.array_equal(V1, V0)
 
 
 class TestSynthesizeGeneral:
@@ -310,6 +330,13 @@ class TestSynthesizeGeneral:
             gm.synthesize((0.5, 2.0), (1.0, 1.5))
         with pytest.raises(IncompatibleSpectraError):
             gm.synthesize((1.0, 1.0), (1.0, 3.0))
+
+    def test_rejects_non_finite(self):
+        # an infinite m makes the dominance allowance infinite too, so it
+        # must be stopped before the certificate is read
+        for kappa, m in (((1.0, 2.0), (2.0, np.inf)), ((1.0, np.nan), (2.0, 3.0)), ((1.0, np.inf), (2.0, 3.0))):
+            with pytest.raises(ValueError, match="finite"):
+                gm.synthesize(kappa, m)
 
 
 GRID = 1.0 / 64.0

@@ -8,6 +8,7 @@ import pytest
 
 import gmarginal as gm
 from gmarginal import InvalidCovarianceError, solver
+from gmarginal.spectra import _within_slack
 from gmarginal.two_mode import _pivot_factor
 
 from conftest import local_params, rand_local_symplectic
@@ -220,6 +221,22 @@ class TestDominates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gm.dominates((1.0, 2.0), (1.0, 2.0, 3.0))
+
+    def test_round_off_allowance(self):
+        """One allowance, 1e-9 (1 + sum m), for synthesize and the CLI verdict."""
+        kappa = (1.0, 3.0)
+        for delta, ok in ((2e-9, True), (3e-9, False)):  # worst slack -2 delta, allowance 5e-9
+            m = (1.0 - delta, 3.0 + delta)
+            cert = gm.dominates(kappa, m)
+            assert not cert.compatible
+            worst, within = _within_slack(cert)
+            assert worst == min(min(cert.partial_sum_slacks), cert.tail_slack)
+            assert within is ok
+            if ok:
+                assert gm.verify(gm.synthesize(kappa, m)[0], kappa, m).ok
+            else:
+                with pytest.raises(gm.IncompatibleSpectraError, match="worst slack"):
+                    gm.synthesize(kappa, m)
 
 
 def brute_force_thermal(params, count, cap):

@@ -15,7 +15,7 @@ from gmarginal import (
 )
 from gmarginal.two_mode import _pivot_factor
 
-from conftest import rand_local_symplectic, random_compatible_quadruple
+from conftest import count_linalg_calls, rand_local_symplectic, random_compatible_quadruple
 
 N_SAMPLES = 60
 
@@ -429,3 +429,19 @@ class TestPivotFactor:
         ):
             with pytest.raises(InvalidCovarianceError):
                 _pivot_factor(M4)
+
+
+def test_normal_forms_call_no_linear_algebra_routine(monkeypatch):
+    """pair_factor, standard_form and local_normal_form are closed-form."""
+    V4 = gm.random_state(2, seed=5)[0]
+    V = gm.random_state(6, seed=6)[0]
+    calls = count_linalg_calls(monkeypatch)
+    gm.williamson(V4)
+    assert calls == ["eigh", "eigh"]  # the wrappers are live
+    calls.clear()
+    for a, b, ta, tb in ((2.0, 5.0, 4.5, 3.5), (6.0, 1.5, 2.5, 6.0), (1.5, 3.0, 1.5, 3.0)):
+        gm.pair_factor(a, b, ta, tb)
+    gm.standard_form(V4)
+    gm.standard_form(form_matrix(2.0, 3.0, 0.8, -0.3))
+    gm.local_normal_form(V)
+    assert calls == []
