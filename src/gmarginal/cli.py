@@ -207,8 +207,7 @@ def run_williamson(matrix_path, out_path=None) -> int:
         fac = williamson(V)
     except InvalidCovarianceError as exc:
         raise InputError(str(exc)) from exc
-    n = V.shape[0] // 2
-    recon = fac.S @ np.diag(np.repeat(fac.kappa, 2)) @ fac.S.T
+    recon = (fac.S * np.repeat(fac.kappa, 2)) @ fac.S.T
     residual = float(np.max(np.abs(recon - V)))
     doc = {"kappa": fac.kappa, "S": _matrix_doc(fac.S), "residual": residual}
     _emit(doc, out_path)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidCovarianceError, NumericalError
-from .symplectic import DEFAULT_TOL, symplectic_form, validate_covariance
+from .symplectic import DEFAULT_TOL, _omega_rows, _symplectic_residual, validate_covariance
 
 
 @dataclass(frozen=True)
@@ -37,51 +37,60 @@ class WilliamsonFactorization:
     kappa: np.ndarray
 
 
-def _sqrt_spd(V: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive definite matrix."""
-    w, U = np.linalg.eigh(V)
-    if w[0] <= 0.0:
-        raise InvalidCovarianceError("covariance matrix is not positive definite")
-    return (U * np.sqrt(w)) @ U.T
+def _chol_form(V: np.ndarray, tol: float):
+    """Validate V and return (V, L, L^T Omega L) with V = L L^T Cholesky.
 
+    The third matrix A is antisymmetrized exactly.  It is similar to
+    Omega V (L^-T A L^T = Omega V), so i A is Hermitian with eigenvalues
+    -kappa_n, ..., -kappa_1, kappa_1, ..., kappa_n.
 
-def _root_form(V: np.ndarray, tol: float):
-    """Validate V and return (V, V^(1/2), V^(1/2) Omega V^(1/2)).
-
-    The third matrix is antisymmetrized exactly; i times it is Hermitian
-    with eigenvalues -kappa_n, ..., -kappa_1, kappa_1, ..., kappa_n.
+    Raises:
+        InvalidCovarianceError: V is not symmetric or not positive definite
+            (a singular positive semidefinite V included).
     """
     V = validate_covariance(V, tol)
-    root = _sqrt_spd(V)
-    A = root @ symplectic_form(V.shape[0] // 2) @ root
-    return V, root, 0.5 * (A - A.T)
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        raise InvalidCovarianceError("covariance matrix is not positive definite") from None
+    A = L.T @ _omega_rows(L)
+    return V, L, 0.5 * (A - A.T)
 
 
 def symplectic_spectrum(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted nondecreasing.
 
-    Computed as the positive eigenvalues of the Hermitian matrix
-    i * V^(1/2) Omega V^(1/2), which avoids the non-normal product Omega V.
+    The real antisymmetric A = L^T Omega L of the Cholesky factor V = L L^T
+    has the eigenvalues +-i kappa_j of Omega V, so its singular values are
+    kappa_1, kappa_1, ..., kappa_n, kappa_n; every other one of them,
+    ascending, is returned.  This takes one Cholesky factorization and one
+    real SVD without vectors, and never forms the non-normal product
+    Omega V.  The SVD is backward stable on A, so each kappa carries an
+    absolute error of a few ulps of kappa_n, plus the Cholesky error, which
+    grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
     """
-    V, _, A = _root_form(V, tol)
-    return np.linalg.eigvalsh(1j * A)[V.shape[0] // 2 :].copy()
+    _, _, A = _chol_form(V, tol)
+    return np.linalg.svd(A, compute_uv=False)[::-2].copy()
 
 
 def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     """Factor V as S diag(kappa pairs) S^T with S symplectic and kappa sorted.
 
-    Uses the same Hermitian matrix i * A, A = V^(1/2) Omega V^(1/2), as
-    ``symplectic_spectrum``.  An eigenvector u = x + i y of i * A with
-    eigenvalue kappa > 0 satisfies A x = kappa y and A y = -kappa x, and
-    |x| = |y| = 1/sqrt(2) with x orthogonal to y, because u is orthogonal to
-    its conjugate (an eigenvector for -kappa).  So the columns
-    (sqrt(2) y, sqrt(2) x) of each positive eigenvector form the orthogonal
-    basis O with O^T A O the direct sum of [[0, kappa], [-kappa, 0]]: the
-    handedness is right by construction (entry (a, b) of each block is
-    +kappa).  ``eigh`` returns the eigenvalues ascending, so kappa comes out
-    sorted, tied kappa included, and S = V^(1/2) O D^(-1/2).
+    Uses the Hermitian matrix i * A, A = L^T Omega L for the Cholesky
+    factor V = L L^T, as ``symplectic_spectrum`` does.  An eigenvector
+    u = x + i y of i * A with eigenvalue kappa > 0 satisfies A x = kappa y
+    and A y = -kappa x, and |x| = |y| = 1/sqrt(2) with x orthogonal to y,
+    because u is orthogonal to its conjugate (an eigenvector for -kappa).
+    So the columns (sqrt(2) y, sqrt(2) x) of each positive eigenvector form
+    the orthogonal basis O with O^T A O the direct sum of
+    [[0, kappa], [-kappa, 0]]: the handedness is right by construction
+    (entry (a, b) of each block is +kappa).  ``eigh`` returns the
+    eigenvalues ascending, so kappa comes out sorted, tied kappa included.
+
+    S = L O D^(-1/2) then gives S D S^T = L L^T = V, and it is symplectic
+    because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
     """
-    V, root, A = _root_form(V, tol)
+    V, L, A = _chol_form(V, tol)
     n = V.shape[0] // 2
     w, U = np.linalg.eigh(1j * A)
     kappa = w[n:].copy()
@@ -91,11 +100,10 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorizati
     O[:, 0::2] = U[:, n:].imag
     O[:, 1::2] = U[:, n:].real
     d = np.repeat(kappa, 2)
-    S = root @ (O * np.sqrt(2.0 / d))
-    omega = symplectic_form(n)
+    S = L @ (O * np.sqrt(2.0 / d))
     scale = 1.0 + float(np.max(np.abs(V)))
     res_fact = float(np.max(np.abs((S * d) @ S.T - V)))
-    res_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
+    res_symp = _symplectic_residual(S)
     if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
         raise NumericalError("normal-form factorization did not reach the required accuracy")
     return WilliamsonFactorization(S=S, kappa=kappa)

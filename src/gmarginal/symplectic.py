@@ -41,15 +41,36 @@ def is_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("expected a square matrix")
     if S.shape[0] == 0 or S.shape[0] % 2 != 0:
         raise ValueError("expected an even, nonzero dimension")
-    omega = symplectic_form(S.shape[0] // 2)
-    return float(np.max(np.abs(S @ omega @ S.T - omega))) <= tol
+    return _symplectic_residual(S) <= tol
+
+
+def _omega_rows(M: np.ndarray) -> np.ndarray:
+    """Omega @ M without forming Omega: rows (2j, 2j+1) become (row 2j+1, -row 2j).
+
+    The negated rows are 0 - row, so a zero entry comes out +0.0, as it
+    does in the dense product, instead of -0.0.
+    """
+    out = np.empty_like(M)
+    out[0::2] = M[1::2]
+    np.subtract(0.0, M[0::2], out=out[1::2])
+    return out
+
+
+def _symplectic_residual(S: np.ndarray) -> float:
+    """max |S Omega S^T - Omega|, with Omega S^T formed by ``_omega_rows``."""
+    R = S @ _omega_rows(S.T)
+    # Omega's entries are R[2j, 2j + 1] and R[2j + 1, 2j] of the flat view
+    step = 2 * S.shape[0] + 2
+    flat = R.reshape(-1)
+    flat[1::step] -= 1.0
+    flat[S.shape[0] :: step] += 1.0
+    return float(np.max(np.abs(R)))
 
 
 def symplectic_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix, computed as -Omega S^T Omega."""
+    """Inverse of a symplectic matrix, -Omega S^T Omega = Omega (Omega S)^T."""
     S = np.asarray(S, dtype=float)
-    omega = symplectic_form(S.shape[0] // 2)
-    return -omega @ S.T @ omega
+    return _omega_rows(_omega_rows(S).T)
 
 
 def _check_pair(j: int, k: int, n: int) -> None:

@@ -28,8 +28,8 @@ from .exceptions import (
 )
 from .symplectic import (
     _bs_block,
+    _omega_rows,
     _spd_roots,
-    symplectic_form,
     symplectic_inverse,
     validate_covariance,
 )
@@ -37,7 +37,7 @@ from .symplectic import (
 #: Relative tolerance used by the feasibility checks in this module.
 COUPLING_TOL = 1e-9
 
-_OMEGA2 = symplectic_form(2)
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def two_mode_invariants(V4):
     spectra they equal kappa1^2 + kappa2^2 and (kappa1 * kappa2)^2.
     """
     V = validate_covariance(_require_4x4(V4))
-    omega = symplectic_form(2)
-    sum_sq = 0.5 * float(np.trace(omega @ V @ omega.T @ V))
+    W = _omega_rows(V)  # tr(Omega V Omega^T V) = -tr(W W) for symmetric V
+    sum_sq = -0.5 * float(np.sum(W * W.T))
     return sum_sq, float(np.linalg.det(V))
 
 
@@ -166,8 +166,9 @@ def _pivot_factor(M4):
     2. K = X^(1/2) P^(1/2) = U diag(kappa) W^T, both in closed form; the
        smaller kappa is taken from kappa1 kappa2 = sqrt(det X det P).
     3. T_q = D^(1/2) U^T X^(-1/2) and T_p = D^(1/2) W^T P^(-1/2) act on the
-       q and p quadratures.  T_q T_p^T = I, so T is symplectic, and T^-1 has
-       the V^(1/2) O D^(-1/2) gauge of ``williamson``.
+       q and p quadratures.  T_q T_p^T = I, so T is symplectic.  T^-1 is
+       one normal-form factor of M4, in a gauge fixed by the atan2 angles
+       above; it need not equal the L O D^(-1/2) factor of ``williamson``.
 
     Raises:
         InvalidCovarianceError: A, B, X or P is not positive definite.
@@ -190,16 +191,26 @@ def _pivot_factor(M4):
     Tp = _mul2(((rs * sw, rs * cw), (rb * cw, -rb * sw)), pi)
     # row r of T is row r // 2 of T_q (r even) or T_p (r odd), spread over
     # the two modes by the direct sum of G1 = R(-phi) L_A and G2 = R(theta) L_B
-    T = np.array(
+    rows = [
+        [y0 * G1[t][0], y0 * G1[t][1], y1 * G2[t][0], y1 * G2[t][1]]
+        for (y0, y1), t in ((Tq[0], 0), (Tp[0], 1), (Tq[1], 0), (Tp[1], 1))
+    ]
+    T = np.array(rows)
+    # S = T^-1 = -Omega T^T Omega, entry by entry: S[i][j] = +-T[j ^ 1][i ^ 1]
+    t0, t1, t2, t3 = rows
+    S = np.array(
         [
-            [y0 * G1[t][0], y0 * G1[t][1], y1 * G2[t][0], y1 * G2[t][1]]
-            for (y0, y1), t in ((Tq[0], 0), (Tp[0], 1), (Tq[1], 0), (Tp[1], 1))
+            [t1[1], -t0[1], t3[1], -t2[1]],
+            [-t1[0], t0[0], -t3[0], t2[0]],
+            [t1[3], -t0[3], t3[3], -t2[3]],
+            [-t1[2], t0[2], -t3[2], t2[2]],
         ]
     )
-    S = _OMEGA2 @ T.T @ _OMEGA2.T  # T^-1 of a symplectic T
     scale = 1.0 + float(M4.diagonal().max())  # the largest |entry| of a positive definite M4
     res_fact = abs((S * [small, small, big, big]) @ S.T - M4).max()
-    res_symp = abs(S @ _OMEGA2 @ S.T - _OMEGA2).max()
+    # S = -Omega T^T Omega gives Omega S^T = T Omega, so S Omega S^T - Omega
+    # is (S T - I) Omega, whose max-norm is that of S T - I
+    res_symp = abs(S @ T - _EYE4).max()
     if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
         raise NumericalError("normal-form factorization did not reach the required accuracy")
     return T

@@ -80,7 +80,7 @@ def random_compatible_quadruple(rng, gap=0.05):
 def count_linalg_calls(monkeypatch):
     """Wrap the np.linalg factorizations; return the list their calls append to."""
     calls = []
-    for name in ("eig", "eigh", "eigvalsh", "svd", "det", "inv"):
+    for name in ("cholesky", "eig", "eigh", "eigvalsh", "svd", "det", "inv"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -89,3 +89,33 @@ def count_linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def passive_mesh(rng, n):
+    """Random passive (orthogonal symplectic) 2n x 2n matrix.
+
+    n layers, each a phase rotation on every mode followed by beam
+    splitters on alternating neighbouring pairs.
+    """
+    O = np.eye(2 * n)
+    for layer in range(n):
+        R = block_diag(*(rotation2(phi) for phi in rng.uniform(0.0, 2.0 * np.pi, size=n)))
+        O = R @ O
+        for j in range(1 + layer % 2, n, 2):
+            O = gm.beam_splitter_pair(rng.uniform(0.0, 2.0 * np.pi), j, j + 1, n) @ O
+    return O
+
+
+def bloch_messiah_state(rng, n, r_max=0.5, kappa_range=(1.0, 3.0)):
+    """Bounded-squeeze state V = S diag(kappa pairs) S^T, S = O1 (+)diag(e^r, e^-r) O2.
+
+    |r_j| <= r_max keeps cond(V) bounded as n grows (about 10-15 at n = 12),
+    unlike ``gm.random_state``, whose squeezing compounds with n.  Returns
+    (V, kappa) with kappa the sorted generator parameters.
+    """
+    kappa = np.sort(rng.uniform(*kappa_range, size=n))
+    r = rng.uniform(-r_max, r_max, size=n)
+    squeeze = np.diag(np.exp(np.column_stack([r, -r]).reshape(-1)))
+    S = passive_mesh(rng, n) @ squeeze @ passive_mesh(rng, n)
+    V = S @ np.diag(np.repeat(kappa, 2)) @ S.T
+    return 0.5 * (V + V.T), kappa

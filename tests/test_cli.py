@@ -219,6 +219,24 @@ class TestWilliamsonCommand:
         assert np.abs(np.array(got) - [2.0, 5.0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("command", ["decompose", "williamson"])
+@pytest.mark.parametrize(
+    "V",
+    [
+        # positive diagonal, positive definite single-mode blocks, indefinite
+        np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]),
+        np.diag([1.0, 0.0, 1.0, 1.0]),
+    ],
+    ids=["indefinite", "singular"],
+)
+def test_non_positive_definite_matrix_message(tmp_path, capsys, command, V):
+    f = write_matrix(tmp_path / "v.json", V)
+    assert main([command, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: covariance matrix is not positive definite\n"
+
+
 class TestReconstruct2:
     def test_known_quadruple(self, tmp_path, capsys):
         assert main(["reconstruct2", "--m1", "2", "--m2", "2", "--k1", "1", "--k2", "3"]) == 0

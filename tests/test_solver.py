@@ -15,7 +15,7 @@ from gmarginal import (
 from gmarginal.solver import _apply_pair
 from gmarginal.symplectic import _bs_block, _sq_block
 
-from conftest import block_isotropy_max, local_params, off_block_max
+from conftest import block_isotropy_max, count_linalg_calls, local_params, off_block_max
 
 # The seven-mode instance with every intermediate value integer: global
 # parameters (1,2,3,4,5,12,18), local targets (6,...,12).  The diagonal
@@ -133,21 +133,13 @@ class TestJacobi:
             gm.jacobi_decompose(np.diag([0.5, 0.5, 2.0, 2.0]))
 
     def test_pivots_call_no_linear_algebra_routine(self, monkeypatch):
-        calls = []
-        for name in ("eig", "eigh", "eigvalsh", "svd", "det", "inv"):
-            real = getattr(np.linalg, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_linalg_calls(monkeypatch)
         n = 6
         _, _, trace = gm.jacobi_decompose(gm.random_state(n, seed=17)[0])
-        # only the physicality check calls np.linalg (one eigh, one
-        # eigvalsh); the local normal form and every pivot are closed-form
+        # only the physicality check calls np.linalg (one cholesky, one
+        # svd); the local normal form and every pivot are closed-form
         assert len(trace.steps) > 10 * n
-        assert sorted(calls) == ["eigh", "eigvalsh"]
+        assert sorted(calls) == ["cholesky", "svd"]
 
     def test_sweep_budget_returns_partial(self):
         V, _, _ = gm.random_state(6, seed=17)
@@ -402,6 +394,16 @@ class TestSynthesizeProperties:
         assert gm.verify(S, kappa, m).ok
 
 
+def loop_diagonal_residual(S, kappa, m):
+    """verify's diagonal residual by the per-mode ``_block_stats`` loop."""
+    V = (S * np.repeat(np.sort(kappa), 2)) @ S.T
+    V = 0.5 * (V + V.T)
+    stats = [gm.solver._block_stats(V, j) for j in range(1, len(kappa) + 1)]
+    iso_max = max([0.0] + [iso for _, iso in stats])
+    vals = np.sort([c for c, _ in stats])
+    return max(iso_max, float(np.max(np.abs(vals - np.sort(m)))))
+
+
 class TestVerify:
     def test_accepts_synthesized_output(self):
         S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
@@ -420,3 +422,16 @@ class TestVerify:
         report = gm.verify(S, (1.0, 3.0), (2.0, 2.0))
         assert not report.ok
         assert 1e-4 < report.symplectic_residual < 1e-2
+
+    def test_diagonal_residual_equals_per_mode_loop(self):
+        # m = kappa + sorted delta is compatible (see test_large_compatible_pair)
+        rng = np.random.default_rng(64)
+        kappa = np.sort(rng.uniform(1.0, 5.0, 64))
+        m = kappa + np.sort(rng.uniform(0.1, 0.5, 64))
+        for kappa, m in ((SEVEN_KAPPA, SEVEN_M), (kappa, m)):
+            S, _, _ = gm.synthesize(kappa, m)
+            damaged = S.copy()
+            damaged[0, 1] += 1e-3  # makes the first block anisotropic
+            for T in (S, damaged):
+                got = gm.verify(T, kappa, m).diagonal_residual
+                assert got == loop_diagonal_residual(T, kappa, m)

@@ -148,6 +148,26 @@ class TestWilliamson:
             assert np.abs(fac.S @ D @ fac.S.T - V).max() < 1e-12 * np.abs(V).max()
 
 
+# positive diagonal but indefinite, and singular positive semidefinite:
+# the Cholesky factorization behind the spectral routines fails on both
+INDEFINITE = coupled_pair(1.0, 1.0, 2.0, 0.0)
+SINGULAR_PSD = np.diag([1.0, 0.0, 1.0, 1.0])
+
+
+class TestRejectedByCholesky:
+    @pytest.mark.parametrize("V", [INDEFINITE, SINGULAR_PSD], ids=["indefinite", "singular"])
+    @pytest.mark.parametrize(
+        "routine", [gm.symplectic_spectrum, gm.williamson, gm.jacobi_decompose]
+    )
+    def test_raises_invalid_covariance_error(self, routine, V):
+        with pytest.raises(InvalidCovarianceError):
+            routine(V)
+
+    @pytest.mark.parametrize("V", [INDEFINITE, SINGULAR_PSD], ids=["indefinite", "singular"])
+    def test_check_physical_is_false(self, V):
+        assert gm.check_physical(V) is False
+
+
 class TestDominates:
     def test_seven_mode_example(self):
         cert = gm.dominates((5, 2, 18, 4, 1, 12, 3), (9, 7, 8, 6, 12, 11, 10))
