@@ -23,8 +23,8 @@ from .exceptions import (
     UnphysicalSpectrumError,
 )
 from .solver import synthesize, verify
-from .spectra import _within_slack, dominates, symplectic_spectrum, williamson
-from .symplectic import local_parameters, random_state
+from .spectra import _above_vacuum, _within_slack, dominates, symplectic_spectrum, williamson
+from .symplectic import local_parameters, random_state, validate_covariance
 from .two_mode import reconstruct_two_mode
 
 
@@ -99,11 +99,7 @@ def _load_matrix(path) -> np.ndarray:
     for v in data:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
             raise InputError(f"{path}: matrix entries must be finite reals")
-    M = np.asarray(data, dtype=float).reshape(2 * n, 2 * n)
-    scale = 1.0 + float(np.max(np.abs(M)))
-    if float(np.max(np.abs(M - M.T))) > 1e-8 * scale:
-        raise InputError(f"{path}: matrix is not symmetric within 1e-8")
-    return 0.5 * (M + M.T)
+    return validate_covariance(np.asarray(data, dtype=float).reshape(2 * n, 2 * n))
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
@@ -141,7 +137,7 @@ def run_check(global_path, local_path) -> int:
     if kappa.size != m.size:
         raise InputError("global and local vectors must have the same length")
     cert = dominates(kappa, m)
-    physical = bool(cert.kappa_sorted[0] >= 1.0 - 1e-9)
+    physical = _above_vacuum(cert.kappa_sorted[0])
     doc = _certificate_doc(cert)
     doc["physical"] = physical
     _emit(doc)
@@ -181,11 +177,8 @@ def run_synthesize(global_path, local_path, out_path, trace_path=None) -> int:
 
 def run_decompose(matrix_path) -> int:
     V = _load_matrix(matrix_path)
-    try:
-        kappa = symplectic_spectrum(V)
-        m = local_parameters(V)
-    except InvalidCovarianceError as exc:
-        raise InputError(str(exc)) from exc
+    kappa = symplectic_spectrum(V)
+    m = local_parameters(V)
     cert = dominates(kappa, m)
     # both spectra are measured numerically from the same matrix, so the
     # verdict allows round-off in the slack signs on boundary instances
@@ -203,10 +196,7 @@ def run_decompose(matrix_path) -> int:
 
 def run_williamson(matrix_path, out_path=None) -> int:
     V = _load_matrix(matrix_path)
-    try:
-        fac = williamson(V)
-    except InvalidCovarianceError as exc:
-        raise InputError(str(exc)) from exc
+    fac = williamson(V)
     recon = (fac.S * np.repeat(fac.kappa, 2)) @ fac.S.T
     residual = float(np.max(np.abs(recon - V)))
     doc = {"kappa": fac.kappa, "S": _matrix_doc(fac.S), "residual": residual}
@@ -223,10 +213,7 @@ def run_reconstruct2(m1, m2, k1, k2, out_path=None) -> int:
 
 
 def run_random(modes, seed, kappa_min=1.0, kappa_max=4.0, out_path=None) -> int:
-    try:
-        V, _, _ = random_state(modes, seed, (kappa_min, kappa_max))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    V, _, _ = random_state(modes, seed, (kappa_min, kappa_max))
     _emit(_matrix_doc(V), out_path)
     return 0
 

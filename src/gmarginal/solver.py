@@ -27,9 +27,11 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _within_slack, check_physical, dominates, symplectic_spectrum
+from .spectra import _above_vacuum, _within_slack, check_physical, dominates, symplectic_spectrum
 from .symplectic import (
+    COUPLING_TOL,
     DEFAULT_TOL,
+    VERIFY_TOL,
     _bs_block,
     _sq_block,
     _symplectic_residual,
@@ -144,16 +146,20 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     updates only the pair's two profit factors, so it costs O(n) on top of
     the O(1) scalar 4x4 work; a sweep over all pairs costs O(n^3).
 
+    ``tol`` is the off-block convergence threshold only: a pair whose
+    off-block max-norm is at most tol is not pivoted.  V must pass the
+    package's symmetry rule and its vacuum rule kappa_min >= 1 - COUPLING_TOL.
+
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
         the sorted diagonal parameters.  When max_sweeps is exhausted the
         partial result is returned with ``converged=False``.
     """
-    V = validate_covariance(V, tol)
-    if not check_physical(V, 1e-8):
+    V = validate_covariance(V)
+    if not check_physical(V, COUPLING_TOL):
         raise InvalidCovarianceError("matrix is not a physical covariance matrix")
     n = V.shape[0] // 2
-    W, locs, m = local_normal_form(V, tol)
+    W, locs, m = local_normal_form(V)
     S = np.zeros_like(V)
     for j in range(n):
         S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
@@ -162,7 +168,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     factors = [_local_factor(W, t) for t in range(1, n + 1)]
 
     sweeps = 0
-    while sweeps < max_sweeps:
+    pivoted = True
+    while pivoted and sweeps < max_sweeps:
         sweeps += 1
         pivoted = False
         for j in range(1, n):
@@ -176,13 +183,11 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                 factors[j - 1] = _local_factor(W, j)
                 factors[k - 1] = _local_factor(W, k)
                 steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
-        if not pivoted:
-            break
-    converged = True
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            if _off_max(W, j, k) > tol:
-                converged = False
+    # a sweep without a pivot has just checked every pair; rescan only when
+    # the sweep cap stopped the loop
+    converged = not pivoted or not any(
+        _off_max(W, j, k) > tol for j in range(1, n) for k in range(j + 1, n + 1)
+    )
     kappa = np.sort([_block_stats(W, t)[0] for t in range(1, n + 1)])
     trace = JacobiTrace(steps=steps, sweeps=sweeps, converged=converged, initial_profit=initial_profit)
     return S, kappa, trace
@@ -217,7 +222,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         raise ValueError("spectral parameters must be positive finite reals")
     if np.any(np.diff(kappa) < 0.0) or np.any(np.diff(m) < 0.0):
         raise ValueError("parameter vectors must be sorted nondecreasing")
-    if kappa[0] < 1.0 - 1e-9:
+    if not _above_vacuum(kappa[0]):
         raise UnphysicalSpectrumError(
             f"smallest global parameter {kappa[0]} is below the vacuum value 1"
         )
@@ -332,7 +337,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         apply_step(4, "BS", i, n, theta, eps, m[i - 1], d[i - 1] + d[n - 1] - m[i - 1])
         i += 1
 
-    check_tol = max(atol, 1e-8 * (1.0 + float(m[-1])))
+    check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
     if float(np.max(np.abs(d - m))) > check_tol:
         raise NumericalError(
             f"schedule finished with diagonal {d.tolist()} instead of {m.tolist()}"
@@ -346,7 +351,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     return S, W, trace
 
 
-def verify(S, kappa, m, tol: float = 1e-8) -> VerifyReport:
+def verify(S, kappa, m, tol: float = VERIFY_TOL) -> VerifyReport:
     """Independent residual check of a synthesis result.
 
     Checks that S is symplectic, that the diagonal blocks of

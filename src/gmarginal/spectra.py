@@ -9,7 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidCovarianceError, NumericalError
-from .symplectic import DEFAULT_TOL, _omega_rows, _symplectic_residual, validate_covariance
+from .symplectic import (
+    COUPLING_TOL,
+    DEFAULT_TOL,
+    _factor_gate,
+    _omega_rows,
+    _symplectic_residual,
+    validate_covariance,
+)
 
 
 @dataclass(frozen=True)
@@ -101,25 +108,28 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorizati
     O[:, 1::2] = U[:, n:].real
     d = np.repeat(kappa, 2)
     S = L @ (O * np.sqrt(2.0 / d))
-    scale = 1.0 + float(np.max(np.abs(V)))
     res_fact = float(np.max(np.abs((S * d) @ S.T - V)))
-    res_symp = _symplectic_residual(S)
-    if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
-        raise NumericalError("normal-form factorization did not reach the required accuracy")
+    _factor_gate(res_fact, _symplectic_residual(S), 1.0 + float(np.max(np.abs(V))))
     return WilliamsonFactorization(S=S, kappa=kappa)
+
+
+def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:
+    """The vacuum rule kappa_min >= 1 - tol; the default allows spectral round-off."""
+    return bool(kappa_min >= 1.0 - tol)
 
 
 def check_physical(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when the smallest symplectic eigenvalue of V is >= 1 - tol.
 
+    ``tol`` is the vacuum slack only; symmetry is tested at DEFAULT_TOL.
     Returns False (instead of raising) when V is not a valid covariance
-    matrix, e.g. not positive definite.
+    matrix, e.g. not symmetric or not positive definite.
     """
     try:
-        kappa = symplectic_spectrum(V, tol)
+        kappa = symplectic_spectrum(V)
     except InvalidCovarianceError:
         return False
-    return bool(kappa[0] >= 1.0 - tol)
+    return _above_vacuum(kappa[0], tol)
 
 
 def dominates(kappa, m) -> DominanceCertificate:
@@ -149,13 +159,13 @@ def dominates(kappa, m) -> DominanceCertificate:
 
 
 def _within_slack(cert: DominanceCertificate):
-    """(worst slack, ok): ok allows round-off down to -1e-9 (1 + sum |m|).
+    """(worst slack, ok): ok allows round-off down to -COUPLING_TOL (1 + sum |m|).
 
     Computed spectra wobble by round-off on the boundary faces, e.g. an
     uncoupled matrix, where every slack is zero.
     """
     worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
-    return worst, bool(worst >= -1e-9 * (1.0 + float(np.sum(np.abs(cert.m_sorted)))))
+    return worst, bool(worst >= -COUPLING_TOL * (1.0 + float(np.sum(np.abs(cert.m_sorted)))))
 
 
 def thermal_eigenvalues(params, count: int):

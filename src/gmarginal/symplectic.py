@@ -11,10 +11,21 @@ import math
 
 import numpy as np
 
-from .exceptions import InvalidCovarianceError
+from .exceptions import InvalidCovarianceError, NumericalError
 
-#: Default absolute tolerance for symmetry / symplecticity residuals.
+# The package's thresholds, each named once; see "Tolerances" in the README.
+
+#: Structure: ``validate_covariance`` rejects max|V - V^T| > DEFAULT_TOL (1 + max|V|).
+#: Also the default ``tol`` of ``is_symplectic`` (absolute), ``check_physical``,
+#: ``jacobi_decompose`` and ``synthesize``; each ``tol`` sets one threshold.
 DEFAULT_TOL = 1e-10
+#: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL, the dominance
+#: allowance of ``_within_slack`` and the two-mode feasibility checks, each scaled there.
+COUPLING_TOL = 1e-9
+#: Default of ``verify``, absolute, and the floor of ``synthesize``'s final diagonal check.
+VERIFY_TOL = 1e-8
+#: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|.
+FACTOR_TOL = 1e-6
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -65,6 +76,12 @@ def _symplectic_residual(S: np.ndarray) -> float:
     flat[1::step] -= 1.0
     flat[S.shape[0] :: step] += 1.0
     return float(np.max(np.abs(R)))
+
+
+def _factor_gate(res_fact: float, res_symp: float, scale: float) -> None:
+    """Raise NumericalError when a normal-form factor misses FACTOR_TOL * scale."""
+    if res_fact > FACTOR_TOL * scale or res_symp > FACTOR_TOL * scale:
+        raise NumericalError("normal-form factorization did not reach the required accuracy")
 
 
 def symplectic_inverse(S: np.ndarray) -> np.ndarray:

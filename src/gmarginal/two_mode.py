@@ -27,15 +27,14 @@ from .exceptions import (
     NumericalError,
 )
 from .symplectic import (
+    COUPLING_TOL,
     _bs_block,
+    _factor_gate,
     _omega_rows,
     _spd_roots,
     symplectic_inverse,
     validate_covariance,
 )
-
-#: Relative tolerance used by the feasibility checks in this module.
-COUPLING_TOL = 1e-9
 
 _EYE4 = np.eye(4)
 
@@ -206,13 +205,12 @@ def _pivot_factor(M4):
             [-t1[2], t0[2], -t3[2], t2[2]],
         ]
     )
-    scale = 1.0 + float(M4.diagonal().max())  # the largest |entry| of a positive definite M4
     res_fact = abs((S * [small, small, big, big]) @ S.T - M4).max()
     # S = -Omega T^T Omega gives Omega S^T = T Omega, so S Omega S^T - Omega
     # is (S T - I) Omega, whose max-norm is that of S T - I
     res_symp = abs(S @ T - _EYE4).max()
-    if res_fact > 1e-6 * scale or res_symp > 1e-6 * scale:
-        raise NumericalError("normal-form factorization did not reach the required accuracy")
+    # the largest |entry| of a positive definite M4 is on its diagonal
+    _factor_gate(res_fact, res_symp, 1.0 + float(M4.diagonal().max()))
     return T
 
 

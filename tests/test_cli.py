@@ -273,6 +273,20 @@ class TestRandomCommand:
         assert main(["random", "--modes", "2", "--seed", "1", "--kappa-min", "0.2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--modes", "0"], "error: mode count must be a positive integer\n"),
+            (["--modes", "2", "--kappa-min", "0.5"], "error: the lower end of kappa_range must be at least 1\n"),
+        ],
+        ids=["modes-0", "kappa-min-0.5"],
+    )
+    def test_argument_error_message(self, capsys, argv, err):
+        assert main(["random", "--seed", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
 
 def child_env():
     """Environment for a child interpreter that imports the package the tests import."""

@@ -13,9 +13,16 @@ from gmarginal import (
     UnphysicalSpectrumError,
 )
 from gmarginal.solver import _apply_pair
+from gmarginal.spectra import _within_slack
 from gmarginal.symplectic import _bs_block, _sq_block
 
-from conftest import block_isotropy_max, count_linalg_calls, local_params, off_block_max
+from conftest import (
+    block_isotropy_max,
+    bloch_messiah_state,
+    count_linalg_calls,
+    local_params,
+    off_block_max,
+)
 
 # The seven-mode instance with every intermediate value integer: global
 # parameters (1,2,3,4,5,12,18), local targets (6,...,12).  The diagonal
@@ -392,6 +399,17 @@ class TestSynthesizeProperties:
         S, _, trace = gm.synthesize(kappa, m)
         assert len(trace.steps) <= n - 1
         assert gm.verify(S, kappa, m).ok
+
+
+class TestJacobiProperties:
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_kappa_and_locals_pass_the_dominance_allowance(self, n, seed):
+        V, _ = bloch_messiah_state(np.random.default_rng(seed), n)
+        _, kappa, trace = gm.jacobi_decompose(V)
+        assert trace.converged
+        worst, ok = _within_slack(gm.dominates(kappa, gm.local_parameters(V)))
+        assert ok, worst
 
 
 def loop_diagonal_residual(S, kappa, m):

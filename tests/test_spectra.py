@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmarginal as gm
 from gmarginal import InvalidCovarianceError, solver
@@ -257,6 +259,32 @@ class TestDominates:
             else:
                 with pytest.raises(gm.IncompatibleSpectraError, match="worst slack"):
                     gm.synthesize(kappa, m)
+
+
+@st.composite
+def permuted_pairs(draw):
+    """(kappa, m) of equal length on a dyadic grid, and a permutation of each."""
+    n = draw(st.integers(1, 12))
+    values = st.lists(st.integers(64, 640), min_size=n, max_size=n)
+    kappa = np.array(draw(values)) / 64.0
+    m = np.array(draw(values)) / 64.0
+    p = np.array(draw(st.permutations(range(n))))
+    q = np.array(draw(st.permutations(range(n))))
+    return kappa, m, kappa[p], m[q]
+
+
+class TestDominatesProperties:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(permuted_pairs())
+    def test_certificate_ignores_the_order_of_each_vector(self, case):
+        kappa, m, kappa_perm, m_perm = case
+        ref = gm.dominates(kappa, m)
+        cert = gm.dominates(kappa_perm, m_perm)
+        assert np.array_equal(cert.kappa_sorted, ref.kappa_sorted)
+        assert np.array_equal(cert.m_sorted, ref.m_sorted)
+        assert np.array_equal(cert.partial_sum_slacks, ref.partial_sum_slacks)
+        assert cert.tail_slack == ref.tail_slack
+        assert cert.compatible == ref.compatible
 
 
 def brute_force_thermal(params, count, cap):
