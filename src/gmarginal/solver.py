@@ -17,7 +17,7 @@ at most n - 1 two-mode transformations, scheduled in four stages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .symplectic import (
     VERIFY_TOL,
     _bs_block,
     _sq_block,
+    _local_normal_form,
     _symplectic_residual,
-    local_normal_form,
     mode_slice,
     validate_covariance,
 )
@@ -53,10 +53,14 @@ class JacobiStep:
 
 @dataclass(frozen=True)
 class JacobiTrace:
+    """Pivots in order; sweep_off_max[s] is the largest off-block max-norm
+    that the skip tests of sweep s + 1 read."""
+
     steps: list
     sweeps: int
     converged: bool
     initial_profit: float
+    sweep_off_max: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -107,27 +111,47 @@ def _pair_ids(i, j):
     return np.array([2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1])
 
 
-def _local_factor(W, i):
-    """sqrt(det) of the diagonal block of mode i, clipped at zero."""
-    s = mode_slice(i)
-    B = W[s, s]
-    return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
+def _pair_index(n):
+    """ids[j - 1, k - 1] is ``_pair_ids(j, k)``, for every pair of n modes."""
+    modes = np.arange(2 * n).reshape(n, 2)
+    ids = np.empty((n, n, 4), dtype=int)
+    ids[:, :, :2] = modes[:, None, :]
+    ids[:, :, 2:] = modes[None, :, :]
+    return ids
 
 
-def _apply_pair(W, S, T4, i, j):
-    """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on modes (i, j).
+def _row_off_max(W, j):
+    """Largest |entry| of each 2x2 block in the rows of mode j, in mode order.
 
-    Only the four rows and columns of the pair change, so the cost is O(n).
-    The touched columns are mirrored from the touched rows and the 4x4 pair
-    block is symmetrized, so W stays exactly symmetric.
+    Entry k - 1 is ``_off_max(W, j, k)``; entry j - 1 is mode j's own block.
     """
-    ids = _pair_ids(i, j)
-    rows = T4 @ W.take(ids, axis=0)
+    a = abs(W[mode_slice(j)])
+    a = np.maximum(a[0], a[1])
+    return np.maximum(a[0::2], a[1::2]).tolist()
+
+
+def _sqrt_det(b00, b01, b10, b11):
+    """sqrt(det) of the 2x2 block [[b00, b01], [b10, b11]], clipped at zero."""
+    return math.sqrt(max(b00 * b11 - b01 * b10, 0.0))
+
+
+def _apply_pair(W, S, T4, ids, rows):
+    """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on the rows ids.
+
+    ``ids`` is ``_pair_ids(i, j)`` of the pair and ``rows`` is
+    ``W.take(ids, axis=0)``, its four rows before the step.  Only those
+    rows and the matching columns change, so the cost is O(n).  The touched
+    columns are mirrored from the touched rows and the 4x4 pair block is
+    symmetrized, so W stays exactly symmetric.  Returns that pair block.
+    """
+    rows = T4 @ rows
     block = rows.take(ids, axis=1) @ T4.T
+    block = 0.5 * (block + block.T)
     W[ids] = rows
     W[:, ids] = rows.T
-    W[ids[:, None], ids] = 0.5 * (block + block.T)
+    W[ids[:, None], ids] = block
     S[ids] = T4 @ S.take(ids, axis=0)
+    return block
 
 
 def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
@@ -142,9 +166,14 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     decreases at every pivot and is bounded below by sqrt(det V), which
     forces convergence.
 
-    Each pivot touches only the four rows and columns of its pair and
-    updates only the pair's two profit factors, so it costs O(n) on top of
-    the O(1) scalar 4x4 work; a sweep over all pairs costs O(n^3).
+    The pairs (j, k), k > j, are visited row by row.  Each row j reads the
+    off-block max-norms of mode j against all modes at once, and rereads
+    them from mode j's two rows after each pivot.  A pivot takes its pair's
+    four rows of W once: the kernel's 4x4 block is gathered from them and
+    the congruence multiplies them.  It writes those four rows and columns
+    of W and of S, and reads its two new profit factors from the 4x4 pair
+    block it writes.  So a pivot costs O(n) on top of the O(1) scalar 4x4
+    work, and a sweep over all pairs costs O(n^3).
 
     ``tol`` is the off-block convergence threshold only: a pair whose
     off-block max-norm is at most tol is not pivoted.  V must pass the
@@ -153,43 +182,69 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
         the sorted diagonal parameters.  When max_sweeps is exhausted the
-        partial result is returned with ``converged=False``.
+        partial result is returned with ``converged=False``.  An exception
+        raised by a pivot carries the pivots done before it as ``err.trace``,
+        a JacobiTrace with ``converged=False``.
     """
     V = validate_covariance(V)
     if not check_physical(V, COUPLING_TOL):
         raise InvalidCovarianceError("matrix is not a physical covariance matrix")
     n = V.shape[0] // 2
-    W, locs, m = local_normal_form(V)
+    W, locs, m = _local_normal_form(V)
     S = np.zeros_like(V)
     for j in range(n):
         S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
     steps = []
+    sweep_off_max = []
     initial_profit = float(np.prod(m))
-    factors = [_local_factor(W, t) for t in range(1, n + 1)]
+    factors = [_sqrt_det(*W[s, s].ravel().tolist()) for s in map(mode_slice, range(1, n + 1))]
+    pair_ids = _pair_index(n)
 
     sweeps = 0
     pivoted = True
-    while pivoted and sweeps < max_sweeps:
-        sweeps += 1
-        pivoted = False
-        for j in range(1, n):
-            for k in range(j + 1, n + 1):
-                off = _off_max(W, j, k)
-                if off <= tol:
-                    continue
-                pivoted = True
-                ids = _pair_ids(j, k)
-                _apply_pair(W, S, _pivot_factor(W[ids[:, None], ids]), j, k)
-                factors[j - 1] = _local_factor(W, j)
-                factors[k - 1] = _local_factor(W, k)
-                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
+    try:
+        while pivoted and sweeps < max_sweeps:
+            sweeps += 1
+            pivoted = False
+            worst = 0.0
+            for j in range(1, n):
+                offs = _row_off_max(W, j)
+                for k in range(j + 1, n + 1):
+                    off = offs[k - 1]
+                    if off > worst:
+                        worst = off
+                    if off <= tol:
+                        continue
+                    pivoted = True
+                    ids = pair_ids[j - 1, k - 1]
+                    rows = W.take(ids, axis=0)
+                    T4 = _pivot_factor(rows.take(ids, axis=1))
+                    P = _apply_pair(W, S, T4, ids, rows).tolist()
+                    factors[j - 1] = _sqrt_det(P[0][0], P[0][1], P[1][0], P[1][1])
+                    factors[k - 1] = _sqrt_det(P[2][2], P[2][3], P[3][2], P[3][3])
+                    steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
+                    offs = _row_off_max(W, j)
+            sweep_off_max.append(worst)
+    except Exception as err:
+        err.trace = JacobiTrace(
+            steps=list(steps),
+            sweeps=sweeps,
+            converged=False,
+            initial_profit=initial_profit,
+            sweep_off_max=[*sweep_off_max, worst],
+        )
+        raise
     # a sweep without a pivot has just checked every pair; rescan only when
     # the sweep cap stopped the loop
-    converged = not pivoted or not any(
-        _off_max(W, j, k) > tol for j in range(1, n) for k in range(j + 1, n + 1)
-    )
+    converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
     kappa = np.sort([_block_stats(W, t)[0] for t in range(1, n + 1)])
-    trace = JacobiTrace(steps=steps, sweeps=sweeps, converged=converged, initial_profit=initial_profit)
+    trace = JacobiTrace(
+        steps=steps,
+        sweeps=sweeps,
+        converged=converged,
+        initial_profit=initial_profit,
+        sweep_off_max=sweep_off_max,
+    )
     return S, kappa, trace
 
 
@@ -265,9 +320,10 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
             T4 = _sq_block(float(param))
         else:
             T4 = pair_factor(di, dj, t_i, t_j)
-        _apply_pair(W, S, T4, i, j)
-        d[i - 1] = _block_stats(W, i)[0]
-        d[j - 1] = _block_stats(W, j)[0]
+        ids = _pair_ids(i, j)
+        P = _apply_pair(W, S, T4, ids, W.take(ids, axis=0))
+        d[i - 1] = 0.5 * (P[0, 0] + P[1, 1])
+        d[j - 1] = 0.5 * (P[2, 2] + P[3, 3])
         steps.append(
             SynthesisStep(
                 stage=stage,

@@ -174,7 +174,11 @@ def local_parameters(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         InvalidCovarianceError: V is not a valid covariance matrix, or a
             single-mode block is not positive definite.
     """
-    V = validate_covariance(V, tol)
+    return _local_parameters(validate_covariance(V, tol))
+
+
+def _local_parameters(V: np.ndarray) -> np.ndarray:
+    """Body of ``local_parameters`` for a V that ``validate_covariance`` returned."""
     d = V.diagonal()
     det = d[0::2] * d[1::2] - V.diagonal(1)[0::2] * V.diagonal(-1)[0::2]
     bad = np.flatnonzero((det <= 0.0) | (d[0::2] <= 0.0))
@@ -221,8 +225,12 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
         sum L of those blocks, every diagonal block of V2 equals m_j * I,
         and ``m`` holds the local parameters from ``local_parameters``.
     """
-    V = validate_covariance(V, tol)
-    m = local_parameters(V, tol)
+    return _local_normal_form(validate_covariance(V, tol))
+
+
+def _local_normal_form(V: np.ndarray):
+    """Body of ``local_normal_form`` for a V that ``validate_covariance`` returned."""
+    m = _local_parameters(V)
     n = V.shape[0] // 2
     d = V.diagonal()
     blocks = zip(d[0::2].tolist(), V.diagonal(1)[0::2].tolist(), d[1::2].tolist())

@@ -36,7 +36,13 @@ from .symplectic import (
     validate_covariance,
 )
 
-_EYE4 = np.eye(4)
+# (a, b, (-1)^(a+b), (a ^ 1, b ^ 1) sorted, Omega[a][b]) for a <= b; the
+# entries the gate of ``_pivot_factor`` reads
+_GATE_ENTRIES = tuple(
+    (a, b, (-1.0) ** (a + b), *sorted((a ^ 1, b ^ 1)), float(b == a + 1 and a % 2 == 0))
+    for a in range(4)
+    for b in range(a, 4)
+)
 
 
 @dataclass(frozen=True)
@@ -98,15 +104,15 @@ def _mul2(A, B):
     )
 
 
-def _standard_shape(M4):
-    """Steps 0-1 of ``_pivot_factor`` on M4 = [[A, C], [C^T, B]].
+def _standard_shape(M):
+    """Steps 0-1 of ``_pivot_factor`` on M = [[A, C], [C^T, B]], as nested lists.
 
-    Returns (m_a, m_b, k_x, k_p, G1, G2), k_x >= |k_p|, with the nested
-    tuples G1 = R(-phi) L_A and G2 = R(theta) L_B that bring M4 to the
-    standard shape.  Raises InvalidCovarianceError when A or B is not
-    positive definite.
+    Only the upper triangle of M is read.  Returns (m_a, m_b, k_x, k_p, G1,
+    G2), k_x >= |k_p|, with the nested tuples G1 = R(-phi) L_A and
+    G2 = R(theta) L_B that bring M to the standard shape.  Raises
+    InvalidCovarianceError when A or B is not positive definite.
     """
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M4.tolist()
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M
     _, ai, ma = _spd_roots(a00, a01, a11)
     _, bi, mb = _spd_roots(b00, b01, b11)
     la, lb = math.sqrt(ma), math.sqrt(mb)
@@ -136,7 +142,7 @@ def standard_form(V4):
     Raises:
         InvalidCovarianceError: V4 is not positive definite.
     """
-    ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)))
+    ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
     # the standard shape is X (+) P on the q and p quadratures, and
     # k_x >= |k_p|, so X positive definite implies P positive definite
     if not ma * mb - kx * kx > 0.0:
@@ -151,9 +157,10 @@ def _pivot_factor(M4):
     The package's one two-mode normal form: ``jacobi_decompose`` pivots
     with it, ``pair_factor`` inverts it, ``standard_form`` is its steps 0-1
     (``_standard_shape``).  M4 is a positive definite 4x4 covariance block
-    [[A, C], [C^T, B]].  All work is on scalars, with one array built for T
-    at the end, and every angle comes from ``atan2``, so no eigenvector
-    phase enters the gauge:
+    [[A, C], [C^T, B]], of which only the upper triangle is read.  All
+    work, the closing gate included, is on scalars, with one array built
+    for T at the end, and every angle comes from ``atan2``, so no
+    eigenvector phase enters the gauge:
 
     0. L_A = sqrt(m_a) A^(-1/2) and L_B = sqrt(m_b) B^(-1/2) make the
        single-mode blocks m_a I and m_b I, with m = sqrt(det).  In
@@ -174,7 +181,8 @@ def _pivot_factor(M4):
         NumericalError: a kappa is not positive, or S = T^-1 misses the
             factorization and symplecticity gate of ``williamson``.
     """
-    ma, mb, kx, kp, G1, G2 = _standard_shape(M4)
+    M = M4.tolist()
+    ma, mb, kx, kp, G1, G2 = _standard_shape(M)
     xh, xi, dx = _spd_roots(ma, kx, mb)
     ph, pi, dp = _spd_roots(ma, kp, mb)
     K = _mul2(xh, ph)
@@ -194,24 +202,22 @@ def _pivot_factor(M4):
         [y0 * G1[t][0], y0 * G1[t][1], y1 * G2[t][0], y1 * G2[t][1]]
         for (y0, y1), t in ((Tq[0], 0), (Tp[0], 1), (Tq[1], 0), (Tp[1], 1))
     ]
-    T = np.array(rows)
-    # S = T^-1 = -Omega T^T Omega, entry by entry: S[i][j] = +-T[j ^ 1][i ^ 1]
-    t0, t1, t2, t3 = rows
-    S = np.array(
-        [
-            [t1[1], -t0[1], t3[1], -t2[1]],
-            [-t1[0], t0[0], -t3[0], t2[0]],
-            [t1[3], -t0[3], t3[3], -t2[3]],
-            [-t1[2], t0[2], -t3[2], t2[2]],
-        ]
-    )
-    res_fact = abs((S * [small, small, big, big]) @ S.T - M4).max()
-    # S = -Omega T^T Omega gives Omega S^T = T Omega, so S Omega S^T - Omega
-    # is (S T - I) Omega, whose max-norm is that of S T - I
-    res_symp = abs(S @ T - _EYE4).max()
+    # The gate on S = T^-1 = -Omega T^T Omega, from the columns c_a of T
+    # without forming S.  Entry (a, b) of S D S^T is (-1)^(a+b) c_a' D c_b'
+    # for a' = a ^ 1, b' = b ^ 1, since D = diag(small, small, big, big)
+    # pairs equal values.  S T - I = -Omega (T^T Omega T - Omega), so the
+    # max-norm of S T - I is that of X - Omega, X[a][b] = c_a^T Omega c_b,
+    # which is antisymmetric with a zero diagonal.
+    cols = tuple(zip(*rows))
+    fact, symp = [], []
+    for a, b, sign, i, j, w in _GATE_ENTRIES:
+        x0, x1, x2, x3 = cols[a]
+        y0, y1, y2, y3 = cols[b]
+        fact.append(abs(sign * (small * (x0 * y0 + x1 * y1) + big * (x2 * y2 + x3 * y3)) - M[i][j]))
+        symp.append(abs(x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2 - w))
     # the largest |entry| of a positive definite M4 is on its diagonal
-    _factor_gate(res_fact, res_symp, 1.0 + float(M4.diagonal().max()))
-    return T
+    _factor_gate(max(fact), max(symp), 1.0 + max(M[0][0], M[1][1], M[2][2], M[3][3]))
+    return np.array(rows)
 
 
 def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):

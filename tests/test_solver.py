@@ -1,6 +1,8 @@
 """Tests for the constructive solvers: pairwise diagonalization and
 four-stage synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,19 @@ from gmarginal import (
     InvalidCovarianceError,
     UnphysicalSpectrumError,
 )
-from gmarginal.solver import _apply_pair
+from gmarginal import solver, spectra, symplectic, two_mode
+from gmarginal.solver import JacobiStep, _apply_pair, _pair_ids
 from gmarginal.spectra import _within_slack
-from gmarginal.symplectic import _bs_block, _sq_block
+from gmarginal.symplectic import (
+    COUPLING_TOL,
+    DEFAULT_TOL,
+    _bs_block,
+    _sq_block,
+    local_normal_form,
+    mode_slice,
+    symplectic_inverse,
+    validate_covariance,
+)
 
 from conftest import (
     block_isotropy_max,
@@ -78,10 +90,12 @@ class TestApplyPair:
             T = gm.expand_two_mode(T4, i, j, n)
             W_ref, S_ref = T @ W0 @ T.T, T @ S0
             W, S = W0.copy(), S0.copy()
-            _apply_pair(W, S, T4, i, j)
+            ids = _pair_ids(i, j)
+            block = _apply_pair(W, S, T4, ids, W.take(ids, axis=0))
             assert rel_diff(W, W_ref) < 1e-14
             assert rel_diff(S, S_ref) < 1e-14
             assert np.array_equal(W, W.T)
+            assert np.array_equal(block, W[ids[:, None], ids])
 
 
 class TestJacobi:
@@ -156,6 +170,200 @@ class TestJacobi:
         assert not trace.converged
         assert trace.sweeps == 1
         assert len(trace.steps) > 0
+
+
+def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=100):
+    """The cyclic Jacobi loop in its plain form, as the reference for the lean one.
+
+    It reads every pair's off-block with its own max-norm, gathers the
+    kernel's 4x4 block by fancy indexing, takes the pair's rows again for
+    the congruence and recomputes both profit factors from W.  Returns
+    (S, kappa, steps, sweeps, converged, initial_profit).
+    """
+
+    def off_max(W, j, k):
+        return float(abs(W[mode_slice(j), mode_slice(k)]).max())
+
+    def local_factor(W, i):
+        B = W[mode_slice(i), mode_slice(i)]
+        return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
+
+    V = validate_covariance(V)
+    if not gm.check_physical(V, COUPLING_TOL):
+        raise InvalidCovarianceError("matrix is not a physical covariance matrix")
+    n = V.shape[0] // 2
+    W, locs, m = local_normal_form(V)
+    S = np.zeros_like(V)
+    for j in range(n):
+        S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
+    steps = []
+    initial_profit = float(np.prod(m))
+    factors = [local_factor(W, t) for t in range(1, n + 1)]
+    sweeps = 0
+    pivoted = True
+    while pivoted and sweeps < max_sweeps:
+        sweeps += 1
+        pivoted = False
+        for j in range(1, n):
+            for k in range(j + 1, n + 1):
+                off = off_max(W, j, k)
+                if off <= tol:
+                    continue
+                pivoted = True
+                ids = np.array([2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1])
+                T4 = two_mode._pivot_factor(W[ids[:, None], ids])
+                rows = T4 @ W.take(ids, axis=0)
+                block = rows.take(ids, axis=1) @ T4.T
+                W[ids] = rows
+                W[:, ids] = rows.T
+                W[ids[:, None], ids] = 0.5 * (block + block.T)
+                S[ids] = T4 @ S.take(ids, axis=0)
+                factors[j - 1] = local_factor(W, j)
+                factors[k - 1] = local_factor(W, k)
+                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
+    converged = not pivoted or not any(
+        off_max(W, j, k) > tol for j in range(1, n) for k in range(j + 1, n + 1)
+    )
+    kappa = np.sort([0.5 * (W[2 * t, 2 * t] + W[2 * t + 1, 2 * t + 1]) for t in range(n)])
+    return S, kappa, steps, sweeps, converged, initial_profit
+
+
+def step_bits(steps):
+    """Pivot records with every float as its hex string, so signed zeros count."""
+    return [(s.pair, float(s.off_norm).hex(), float(s.profit).hex()) for s in steps]
+
+
+class TestJacobiAgainstReference:
+    """The lean loop returns the reference loop's results bit for bit."""
+
+    def assert_bitwise(self, V, **kwargs):
+        S, kappa, trace = gm.jacobi_decompose(V, **kwargs)
+        S_ref, kappa_ref, steps, sweeps, converged, initial_profit = reference_jacobi(V, **kwargs)
+        assert S.tobytes() == S_ref.tobytes()
+        assert kappa.tobytes() == kappa_ref.tobytes()
+        assert step_bits(trace.steps) == step_bits(steps)
+        assert trace.steps == steps
+        assert (trace.sweeps, trace.converged) == (sweeps, converged)
+        assert float(trace.initial_profit).hex() == float(initial_profit).hex()
+        return trace
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_bloch_messiah_states(self, n):
+        rng = np.random.default_rng(900 + n)
+        for _ in range(2):
+            trace = self.assert_bitwise(bloch_messiah_state(rng, n)[0])
+            assert trace.converged and len(trace.steps) >= n - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_states(self, n):
+        for seed in range(3):
+            self.assert_bitwise(gm.random_state(n, seed=8100 + 10 * n + seed)[0])
+
+    def test_sweep_budget_and_loose_tolerance(self):
+        V = gm.random_state(6, seed=17)[0]
+        assert not self.assert_bitwise(V, max_sweeps=2).converged
+        self.assert_bitwise(V, tol=1e-3)
+
+
+def test_jacobi_validates_twice(monkeypatch):
+    """Once in jacobi_decompose, once in its physicality check; never in the local normal form."""
+    calls = []
+    real = validate_covariance
+
+    def counted(V, *args, **kwargs):
+        calls.append(1)
+        return real(V, *args, **kwargs)
+
+    for module in (solver, spectra, symplectic):
+        monkeypatch.setattr(module, "validate_covariance", counted)
+    V = gm.random_state(3, seed=1)[0]
+    gm.local_normal_form(V)
+    assert len(calls) == 1
+    calls.clear()
+    gm.jacobi_decompose(V)
+    assert len(calls) == 2
+
+
+class TestJacobiTrace:
+    def test_sweep_off_max(self):
+        for seed in range(4):
+            V = gm.random_state(5, seed=300 + seed)[0]
+            _, _, trace = gm.jacobi_decompose(V)
+            assert trace.converged
+            assert len(trace.sweep_off_max) == trace.sweeps
+            assert trace.sweep_off_max[-1] <= DEFAULT_TOL
+            assert max(s.off_norm for s in trace.steps) <= max(trace.sweep_off_max)
+            # the first sweep reads every pair before any pivot of its row
+            assert trace.sweep_off_max[0] >= trace.steps[0].off_norm
+        _, _, budget = gm.jacobi_decompose(V, max_sweeps=1)
+        assert len(budget.sweep_off_max) == 1 and budget.sweep_off_max[0] > DEFAULT_TOL
+
+    def test_positional_constructor(self):
+        trace = gm.JacobiTrace([], 0, True, 1.0)
+        assert trace.sweep_off_max == []
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 9, 20])
+    def test_pivot_error_carries_partial_trace(self, monkeypatch, fail_at):
+        V = gm.random_state(4, seed=11)[0]
+        _, _, full = gm.jacobi_decompose(V)
+        assert len(full.steps) > 20
+        real = solver._pivot_factor
+        calls = []
+
+        def failing_pivot_factor(M4):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise gm.NumericalError("injected pivot failure")
+            return real(M4)
+
+        monkeypatch.setattr(solver, "_pivot_factor", failing_pivot_factor)
+        with pytest.raises(gm.NumericalError, match="injected") as info:
+            gm.jacobi_decompose(V)
+        trace = info.value.trace
+        assert step_bits(trace.steps) == step_bits(full.steps[: fail_at - 1])
+        assert not trace.converged
+        assert trace.initial_profit == full.initial_profit
+        assert len(trace.sweep_off_max) == trace.sweeps >= 1
+        # completed sweeps read the same norms as the full run
+        assert trace.sweep_off_max[:-1] == full.sweep_off_max[: trace.sweeps - 1]
+
+
+def test_scalar_gate_matches_dense_residuals(monkeypatch):
+    """The kernel's gate residuals equal the dense (S*d) @ S.T - M4 and S @ T - I ones."""
+    gates, roots, svds = [], [], []
+    real_roots, real_svd2 = two_mode._spd_roots, two_mode._svd2
+
+    def recording_roots(*args):
+        roots.append(real_roots(*args))
+        return roots[-1]
+
+    def recording_svd2(*args):
+        svds.append(real_svd2(*args))
+        return svds[-1]
+
+    monkeypatch.setattr(two_mode, "_factor_gate", lambda *args: gates.append(args))
+    monkeypatch.setattr(two_mode, "_spd_roots", recording_roots)
+    monkeypatch.setattr(two_mode, "_svd2", recording_svd2)
+    rng = np.random.default_rng(2025)
+    worst_fact = 0.0
+    for _ in range(200):
+        A = rng.normal(size=(4, 4))
+        M4 = A @ A.T + 0.5 * np.eye(4)
+        M4 = 0.5 * (M4 + M4.T)
+        gates.clear(), roots.clear(), svds.clear()
+        T = two_mode._pivot_factor(M4)
+        # the kernel's kappa: roots of A, B, X, P, then the SVDs of C and K
+        big = svds[1][1]
+        small = roots[2][2] * roots[3][2] / big
+        S = symplectic_inverse(T)
+        dense_fact = np.abs((S * [small, small, big, big]) @ S.T - M4).max()
+        dense_symp = np.abs(S @ T - np.eye(4)).max()
+        ((res_fact, res_symp, scale),) = gates
+        assert scale == 1.0 + M4.diagonal().max()
+        assert abs(res_fact - dense_fact) <= 1e-14 * scale
+        assert abs(res_symp - dense_symp) <= 1e-14 * scale
+        worst_fact = max(worst_fact, res_fact)
+    assert worst_fact > 0.0  # the residuals are live, not identically zero
 
 
 class TestSynthesizeSevenModes:
@@ -298,10 +506,11 @@ class TestSynthesizeGeneral:
     def test_correlated_pair_raises_with_partial_trace(self, monkeypatch):
         # correlate modes 2 and 6 behind the schedule's back after the first
         # step, so the second step, on (2, 6), finds its pair correlated
-        def leaky_apply_pair(W, S, T4, i, j):
-            _apply_pair(W, S, T4, i, j)
+        def leaky_apply_pair(W, S, T4, ids, rows):
+            block = _apply_pair(W, S, T4, ids, rows)
             W[2, 10] += 1e-3
             W[10, 2] += 1e-3
+            return block
 
         monkeypatch.setattr(gm.solver, "_apply_pair", leaky_apply_pair)
         with pytest.raises(gm.NumericalError, match=r"pair \(2, 6\)") as info:
