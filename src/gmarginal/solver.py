@@ -268,6 +268,9 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         UnphysicalSpectrumError: kappa[0] < 1.
         IncompatibleSpectraError: the dominance certificate has a negative
             slack beyond tolerance.
+        NumericalError: the schedule loses accuracy.  This and any other
+            exception raised after the inputs are validated carries the
+            steps done before it as ``err.trace``, a SynthesisTrace.
     """
     kappa = np.asarray(kappa, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -303,17 +306,10 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         if max(iso_i, iso_j) > atol or cross > atol:
             # the schedule never revisits a pair and BS/SQ keep the touched
             # blocks isotropic, so this only trips on lost accuracy
-            err = NumericalError(
+            raise NumericalError(
                 f"pair ({i}, {j}) is correlated or anisotropic before its step "
                 f"(cross {cross:.3e}, anisotropy {max(iso_i, iso_j):.3e})"
             )
-            err.trace = SynthesisTrace(
-                steps=list(steps),
-                stage_counts=tuple(stage_counts),
-                stage1_finalized=0,
-                sum_gap_initial=sum_gap_initial,
-            )
-            raise err
         if kind == "BS":
             T4 = _bs_block(float(param))
         elif kind == "SQ":
@@ -336,72 +332,80 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         )
         stage_counts[stage - 1] += 1
 
-    # Stage 1: finalize low modes by borrowing from a donor among the first
-    # n - 1 modes; the least donor index that still covers the target wins.
     finalized = 0
-    i = 1
-    while i <= n - 1:
-        eps = m[i - 1] - d[i - 1]
-        if eps <= atol:
+    try:
+        # Stage 1: finalize low modes by borrowing from a donor among the first
+        # n - 1 modes; the least donor index that still covers the target wins.
+        i = 1
+        while i <= n - 1:
+            eps = m[i - 1] - d[i - 1]
+            if eps <= atol:
+                finalized += 1
+                i += 1
+                continue
+            donor = 0
+            for j in range(i + 1, n):
+                if d[j - 1] >= m[i - 1] - atol:
+                    donor = j
+                    break
+            if donor == 0:
+                break
+            theta = bs_param(d[i - 1], d[donor - 1], m[i - 1])
+            apply_step(1, "BS", i, donor, theta, eps, m[i - 1], d[i - 1] + d[donor - 1] - m[i - 1])
             finalized += 1
             i += 1
-            continue
-        donor = 0
-        for j in range(i + 1, n):
-            if d[j - 1] >= m[i - 1] - atol:
-                donor = j
-                break
-        if donor == 0:
-            break
-        theta = bs_param(d[i - 1], d[donor - 1], m[i - 1])
-        apply_step(1, "BS", i, donor, theta, eps, m[i - 1], d[i - 1] + d[donor - 1] - m[i - 1])
-        finalized += 1
-        i += 1
-    stage1_finalized = finalized
 
-    # Stage 2: pair squeezes with the last mode while the remaining sum gap
-    # covers twice the mode's deficit.
-    delta = float(np.sum(m) - np.sum(d))
-    while i <= n - 1 and delta > atol:
-        eps = m[i - 1] - d[i - 1]
-        if eps <= atol:
-            i += 1
-            continue
-        if delta < 2.0 * eps - atol:
-            break
-        mu = sq_param(d[i - 1], d[n - 1], eps)
-        apply_step(2, "SQ", i, n, mu, eps, m[i - 1], d[n - 1] + eps)
+        # Stage 2: pair squeezes with the last mode while the remaining sum gap
+        # covers twice the mode's deficit.
         delta = float(np.sum(m) - np.sum(d))
-        i += 1
-
-    # Stage 3: one general transform absorbs whatever gap is left.
-    if delta > atol:
-        if i > n - 1:
-            raise NumericalError("no mode left to absorb the remaining sum gap")
-        eps = m[i - 1] - d[i - 1]
-        t_n = d[n - 1] + delta - eps
-        apply_step(3, "GEN", i, n, (float(m[i - 1]), float(t_n)), eps, m[i - 1], t_n)
-        i += 1
-
-    # Stage 4: sum-preserving transfers against the last mode.
-    while i <= n - 1:
-        eps = m[i - 1] - d[i - 1]
-        if abs(eps) <= atol:
+        while i <= n - 1 and delta > atol:
+            eps = m[i - 1] - d[i - 1]
+            if eps <= atol:
+                i += 1
+                continue
+            if delta < 2.0 * eps - atol:
+                break
+            mu = sq_param(d[i - 1], d[n - 1], eps)
+            apply_step(2, "SQ", i, n, mu, eps, m[i - 1], d[n - 1] + eps)
+            delta = float(np.sum(m) - np.sum(d))
             i += 1
-            continue
-        theta = bs_param(d[i - 1], d[n - 1], m[i - 1])
-        apply_step(4, "BS", i, n, theta, eps, m[i - 1], d[i - 1] + d[n - 1] - m[i - 1])
-        i += 1
 
-    check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
-    if float(np.max(np.abs(d - m))) > check_tol:
-        raise NumericalError(
-            f"schedule finished with diagonal {d.tolist()} instead of {m.tolist()}"
+        # Stage 3: one general transform absorbs whatever gap is left.
+        if delta > atol:
+            if i > n - 1:
+                raise NumericalError("no mode left to absorb the remaining sum gap")
+            eps = m[i - 1] - d[i - 1]
+            t_n = d[n - 1] + delta - eps
+            apply_step(3, "GEN", i, n, (float(m[i - 1]), float(t_n)), eps, m[i - 1], t_n)
+            i += 1
+
+        # Stage 4: sum-preserving transfers against the last mode.
+        while i <= n - 1:
+            eps = m[i - 1] - d[i - 1]
+            if abs(eps) <= atol:
+                i += 1
+                continue
+            theta = bs_param(d[i - 1], d[n - 1], m[i - 1])
+            apply_step(4, "BS", i, n, theta, eps, m[i - 1], d[i - 1] + d[n - 1] - m[i - 1])
+            i += 1
+
+        check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
+        if float(np.max(np.abs(d - m))) > check_tol:
+            raise NumericalError(
+                f"schedule finished with diagonal {d.tolist()} instead of {m.tolist()}"
+            )
+    except Exception as err:
+        err.trace = SynthesisTrace(
+            steps=list(steps),
+            stage_counts=tuple(stage_counts),
+            stage1_finalized=finalized,
+            sum_gap_initial=sum_gap_initial,
         )
+        raise
     trace = SynthesisTrace(
         steps=steps,
         stage_counts=tuple(stage_counts),
-        stage1_finalized=stage1_finalized,
+        stage1_finalized=finalized,
         sum_gap_initial=sum_gap_initial,
     )
     return S, W, trace

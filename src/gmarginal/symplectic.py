@@ -79,8 +79,12 @@ def _symplectic_residual(S: np.ndarray) -> float:
 
 
 def _factor_gate(res_fact: float, res_symp: float, scale: float) -> None:
-    """Raise NumericalError when a normal-form factor misses FACTOR_TOL * scale."""
-    if res_fact > FACTOR_TOL * scale or res_symp > FACTOR_TOL * scale:
+    """Raise NumericalError when a normal-form factor misses FACTOR_TOL * scale.
+
+    A NaN residual misses it too.
+    """
+    bound = FACTOR_TOL * scale
+    if not (res_fact <= bound and res_symp <= bound):
         raise NumericalError("normal-form factorization did not reach the required accuracy")
 
 
@@ -191,8 +195,9 @@ def _spd_roots(x0, xk, x1):
     """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
 
     Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
-    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Returns both roots as
-    nested tuples, then d.
+    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Both roots are
+    symmetric, so each comes back as the flat triple (r00, r01, r11).
+    Returns (root, inv_root, d).
 
     Raises:
         InvalidCovarianceError: X is not positive definite.
@@ -203,9 +208,7 @@ def _spd_roots(x0, xk, x1):
     d = math.sqrt(det)
     t = math.sqrt(x0 + x1 + 2.0 * d)
     u = 1.0 / (t * d)
-    root = (((x0 + d) / t, xk / t), (xk / t, (x1 + d) / t))
-    inv_root = (((x1 + d) * u, -xk * u), (-xk * u, (x0 + d) * u))
-    return root, inv_root, d
+    return ((x0 + d) / t, xk / t, (x1 + d) / t), ((x1 + d) * u, -xk * u, (x0 + d) * u), d
 
 
 def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
@@ -234,7 +237,8 @@ def _local_normal_form(V: np.ndarray):
     n = V.shape[0] // 2
     d = V.diagonal()
     blocks = zip(d[0::2].tolist(), V.diagonal(1)[0::2].tolist(), d[1::2].tolist())
-    L = np.array([_spd_roots(*b)[1] for b in blocks]) * np.sqrt(m)[:, None, None]
+    inv_roots = np.array([_spd_roots(*b)[1] for b in blocks])  # (r00, r01, r11) per mode
+    L = inv_roots[:, [0, 1, 1, 2]].reshape(n, 2, 2) * np.sqrt(m)[:, None, None]
     rows = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
     V2 = (L @ rows.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T
     return 0.5 * (V2 + V2.T), list(L), m

@@ -30,18 +30,9 @@ from .symplectic import (
     COUPLING_TOL,
     _bs_block,
     _factor_gate,
-    _omega_rows,
     _spd_roots,
     symplectic_inverse,
     validate_covariance,
-)
-
-# (a, b, (-1)^(a+b), (a ^ 1, b ^ 1) sorted, Omega[a][b]) for a <= b; the
-# entries the gate of ``_pivot_factor`` reads
-_GATE_ENTRIES = tuple(
-    (a, b, (-1.0) ** (a + b), *sorted((a ^ 1, b ^ 1)), float(b == a + 1 and a % 2 == 0))
-    for a in range(4)
-    for b in range(a, 4)
 )
 
 
@@ -66,12 +57,16 @@ def two_mode_invariants(V4):
     """Return (0.5 * tr(Omega V Omega^T V), det V) for a two-mode matrix.
 
     Both quantities are preserved by symplectic congruence; in terms of the
-    spectra they equal kappa1^2 + kappa2^2 and (kappa1 * kappa2)^2.
+    spectra they equal kappa1^2 + kappa2^2 and (kappa1 * kappa2)^2.  They
+    are read off the standard shape of ``_standard_shape``:
+    m_a^2 + m_b^2 + 2 k_x k_p and (m_a m_b - k_x^2)(m_a m_b - k_p^2).
+
+    Raises:
+        InvalidCovarianceError: a single-mode block is not positive definite.
     """
-    V = validate_covariance(_require_4x4(V4))
-    W = _omega_rows(V)  # tr(Omega V Omega^T V) = -tr(W W) for symmetric V
-    sum_sq = -0.5 * float(np.sum(W * W.T))
-    return sum_sq, float(np.linalg.det(V))
+    ma, mb, kx, kp, _, _ = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
+    g = ma * mb
+    return ma * ma + mb * mb + 2.0 * kx * kp, (g - kx * kx) * (g - kp * kp)
 
 
 def _svd2(c00, c01, c10, c11):
@@ -89,39 +84,37 @@ def _svd2(c00, c01, c10, c11):
     return 0.5 * (a2 + a1), q + r, q - r, 0.5 * (a2 - a1)
 
 
-def _rotation_pair(phi, theta):
-    """Rotations (R(-phi), R(theta)) as nested tuples, R as in ``_svd2``."""
-    cf, sf = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    return ((cf, sf), (-sf, cf)), ((ct, -st), (st, ct))
-
-
-def _mul2(A, B):
-    """Product of two 2x2 matrices given as nested sequences."""
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
 def _standard_shape(M):
-    """Steps 0-1 of ``_pivot_factor`` on M = [[A, C], [C^T, B]], as nested lists.
+    """Steps 0-1 of ``_pivot_factor`` on M = [[A, C], [C^T, B]], in scalars.
 
-    Only the upper triangle of M is read.  Returns (m_a, m_b, k_x, k_p, G1,
-    G2), k_x >= |k_p|, with the nested tuples G1 = R(-phi) L_A and
-    G2 = R(theta) L_B that bring M to the standard shape.  Raises
-    InvalidCovarianceError when A or B is not positive definite.
+    Only the upper triangle of the nested list M is read.  Returns (m_a, m_b,
+    k_x, k_p, G1, G2), k_x >= |k_p|, where G1 = R(-phi) L_A and
+    G2 = R(theta) L_B bring M to the standard shape, each as the flat
+    row-major 4-tuple (g00, g01, g10, g11).  Raises InvalidCovarianceError
+    when A or B is not positive definite.
     """
     (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = M
-    _, ai, ma = _spd_roots(a00, a01, a11)
-    _, bi, mb = _spd_roots(b00, b01, b11)
+    _, (ai0, ai1, ai2), ma = _spd_roots(a00, a01, a11)
+    _, (bi0, bi1, bi2), mb = _spd_roots(b00, b01, b11)
     la, lb = math.sqrt(ma), math.sqrt(mb)
-    LA = ((la * ai[0][0], la * ai[0][1]), (la * ai[1][0], la * ai[1][1]))
-    LB = ((lb * bi[0][0], lb * bi[0][1]), (lb * bi[1][0], lb * bi[1][1]))
-    C = _mul2(_mul2(LA, ((c00, c01), (c10, c11))), LB)  # L_B is symmetric
-    phi, kx, kp, theta = _svd2(C[0][0], C[0][1], C[1][0], C[1][1])
-    R1, R2 = _rotation_pair(phi, theta)
-    return ma, mb, kx, kp, _mul2(R1, LA), _mul2(R2, LB)
+    # L_A and L_B are symmetric: (l0, l1; l1, l2)
+    la0, la1, la2 = la * ai0, la * ai1, la * ai2
+    lb0, lb1, lb2 = lb * bi0, lb * bi1, lb * bi2
+    # L_A C, then (L_A C) L_B
+    p00, p01 = la0 * c00 + la1 * c10, la0 * c01 + la1 * c11
+    p10, p11 = la1 * c00 + la2 * c10, la1 * c01 + la2 * c11
+    phi, kx, kp, theta = _svd2(
+        p00 * lb0 + p01 * lb1,
+        p00 * lb1 + p01 * lb2,
+        p10 * lb0 + p11 * lb1,
+        p10 * lb1 + p11 * lb2,
+    )
+    cf, sf = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    # R(-phi) = (cf, sf; -sf, cf) and R(theta) = (ct, -st; st, ct)
+    G1 = (cf * la0 + sf * la1, cf * la1 + sf * la2, -sf * la0 + cf * la1, -sf * la1 + cf * la2)
+    G2 = (ct * lb0 - st * lb1, ct * lb1 - st * lb2, st * lb0 + ct * lb1, st * lb1 + ct * lb2)
+    return ma, mb, kx, kp, G1, G2
 
 
 def standard_form(V4):
@@ -148,7 +141,17 @@ def standard_form(V4):
     if not ma * mb - kx * kx > 0.0:
         raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
     m1, m2 = sorted((ma, mb))
-    return TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp), [np.array(G1), np.array(G2)]
+    form = TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp)
+    return form, [np.array(G1).reshape(2, 2), np.array(G2).reshape(2, 2)]
+
+
+def _worst(vals):
+    """Largest of the nonnegative residuals vals, or NaN when one of them is NaN.
+
+    The builtin max drops a NaN unless it comes first; their sum keeps it.
+    """
+    total = sum(vals)
+    return max(vals) if total == total else total
 
 
 def _pivot_factor(M4):
@@ -157,10 +160,12 @@ def _pivot_factor(M4):
     The package's one two-mode normal form: ``jacobi_decompose`` pivots
     with it, ``pair_factor`` inverts it, ``standard_form`` is its steps 0-1
     (``_standard_shape``).  M4 is a positive definite 4x4 covariance block
-    [[A, C], [C^T, B]], of which only the upper triangle is read.  All
-    work, the closing gate included, is on scalars, with one array built
-    for T at the end, and every angle comes from ``atan2``, so no
-    eigenvector phase enters the gauge:
+    [[A, C], [C^T, B]], of which only the upper triangle is read.  The work
+    is one straight-line pass over Python floats: four ``_spd_roots`` and
+    two ``_svd2`` calls, the 2x2 products written out, the closing gate as
+    explicit residual expressions, and one array built for T at the end.
+    Every angle comes from ``atan2``, so no eigenvector phase enters the
+    gauge:
 
     0. L_A = sqrt(m_a) A^(-1/2) and L_B = sqrt(m_b) B^(-1/2) make the
        single-mode blocks m_a I and m_b I, with m = sqrt(det).  In
@@ -179,14 +184,16 @@ def _pivot_factor(M4):
     Raises:
         InvalidCovarianceError: A, B, X or P is not positive definite.
         NumericalError: a kappa is not positive, or S = T^-1 misses the
-            factorization and symplecticity gate of ``williamson``.
+            factorization and symplecticity gate of ``williamson`` (a NaN
+            residual misses it too).
     """
     M = M4.tolist()
-    ma, mb, kx, kp, G1, G2 = _standard_shape(M)
-    xh, xi, dx = _spd_roots(ma, kx, mb)
-    ph, pi, dp = _spd_roots(ma, kp, mb)
-    K = _mul2(xh, ph)
-    psi, big, _, chi = _svd2(K[0][0], K[0][1], K[1][0], K[1][1])
+    ma, mb, kx, kp, (g0, g1, g2, g3), (h0, h1, h2, h3) = _standard_shape(M)
+    (xh0, xh1, xh2), (xi0, xi1, xi2), dx = _spd_roots(ma, kx, mb)
+    (ph0, ph1, ph2), (pi0, pi1, pi2), dp = _spd_roots(ma, kp, mb)
+    psi, big, _, chi = _svd2(  # K = X^(1/2) P^(1/2)
+        xh0 * ph0 + xh1 * ph1, xh0 * ph1 + xh1 * ph2, xh1 * ph0 + xh2 * ph1, xh1 * ph1 + xh2 * ph2
+    )
     small = dx * dp / big
     if not small > 0.0:
         raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
@@ -194,30 +201,54 @@ def _pivot_factor(M4):
     # first mode takes the smaller kappa
     cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
     rs, rb = math.sqrt(small), math.sqrt(big)
-    Tq = _mul2(((-rs * su, rs * cu), (rb * cu, rb * su)), xi)
-    Tp = _mul2(((rs * sw, rs * cw), (rb * cw, -rb * sw)), pi)
+    u00, u01, u10, u11 = -rs * su, rs * cu, rb * cu, rb * su
+    w00, w01, w10, w11 = rs * sw, rs * cw, rb * cw, -rb * sw
+    # T_q = (u00, u01; u10, u11) X^(-1/2) and T_p = (w00, w01; w10, w11) P^(-1/2)
+    q00, q01 = u00 * xi0 + u01 * xi1, u00 * xi1 + u01 * xi2
+    q10, q11 = u10 * xi0 + u11 * xi1, u10 * xi1 + u11 * xi2
+    p00, p01 = w00 * pi0 + w01 * pi1, w00 * pi1 + w01 * pi2
+    p10, p11 = w10 * pi0 + w11 * pi1, w10 * pi1 + w11 * pi2
     # row r of T is row r // 2 of T_q (r even) or T_p (r odd), spread over
-    # the two modes by the direct sum of G1 = R(-phi) L_A and G2 = R(theta) L_B
-    rows = [
-        [y0 * G1[t][0], y0 * G1[t][1], y1 * G2[t][0], y1 * G2[t][1]]
-        for (y0, y1), t in ((Tq[0], 0), (Tp[0], 1), (Tq[1], 0), (Tp[1], 1))
-    ]
+    # the two modes by the direct sum of G1 = R(-phi) L_A and G2 = R(theta) L_B;
+    # tRC is entry (R, C) of T
+    t00, t01, t02, t03 = q00 * g0, q00 * g1, q01 * h0, q01 * h1
+    t10, t11, t12, t13 = p00 * g2, p00 * g3, p01 * h2, p01 * h3
+    t20, t21, t22, t23 = q10 * g0, q10 * g1, q11 * h0, q11 * h1
+    t30, t31, t32, t33 = p10 * g2, p10 * g3, p11 * h2, p11 * h3
     # The gate on S = T^-1 = -Omega T^T Omega, from the columns c_a of T
     # without forming S.  Entry (a, b) of S D S^T is (-1)^(a+b) c_a' D c_b'
     # for a' = a ^ 1, b' = b ^ 1, since D = diag(small, small, big, big)
-    # pairs equal values.  S T - I = -Omega (T^T Omega T - Omega), so the
-    # max-norm of S T - I is that of X - Omega, X[a][b] = c_a^T Omega c_b,
-    # which is antisymmetric with a zero diagonal.
-    cols = tuple(zip(*rows))
-    fact, symp = [], []
-    for a, b, sign, i, j, w in _GATE_ENTRIES:
-        x0, x1, x2, x3 = cols[a]
-        y0, y1, y2, y3 = cols[b]
-        fact.append(abs(sign * (small * (x0 * y0 + x1 * y1) + big * (x2 * y2 + x3 * y3)) - M[i][j]))
-        symp.append(abs(x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2 - w))
+    # pairs equal values: ``fact`` holds |(S D S^T - M4)[a', b']| for
+    # (a, b) = (0, 0), (0, 1), ..., (3, 3), a <= b.  S T - I =
+    # -Omega (T^T Omega T - Omega), so the max-norm of S T - I is that of
+    # X - Omega, X[a][b] = c_a^T Omega c_b, which is antisymmetric with a
+    # zero diagonal: ``symp`` holds |(X - Omega)[a, b]| for a < b.
+    (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), (_, _, _, m33) = M
+    fact = (
+        abs(small * (t00 * t00 + t10 * t10) + big * (t20 * t20 + t30 * t30) - m11),
+        abs(-(small * (t00 * t01 + t10 * t11) + big * (t20 * t21 + t30 * t31)) - m01),
+        abs(small * (t00 * t02 + t10 * t12) + big * (t20 * t22 + t30 * t32) - m13),
+        abs(-(small * (t00 * t03 + t10 * t13) + big * (t20 * t23 + t30 * t33)) - m12),
+        abs(small * (t01 * t01 + t11 * t11) + big * (t21 * t21 + t31 * t31) - m00),
+        abs(-(small * (t01 * t02 + t11 * t12) + big * (t21 * t22 + t31 * t32)) - m03),
+        abs(small * (t01 * t03 + t11 * t13) + big * (t21 * t23 + t31 * t33) - m02),
+        abs(small * (t02 * t02 + t12 * t12) + big * (t22 * t22 + t32 * t32) - m33),
+        abs(-(small * (t02 * t03 + t12 * t13) + big * (t22 * t23 + t32 * t33)) - m23),
+        abs(small * (t03 * t03 + t13 * t13) + big * (t23 * t23 + t33 * t33) - m22),
+    )
+    symp = (
+        abs(t00 * t11 - t10 * t01 + t20 * t31 - t30 * t21 - 1.0),
+        abs(t00 * t12 - t10 * t02 + t20 * t32 - t30 * t22),
+        abs(t00 * t13 - t10 * t03 + t20 * t33 - t30 * t23),
+        abs(t01 * t12 - t11 * t02 + t21 * t32 - t31 * t22),
+        abs(t01 * t13 - t11 * t03 + t21 * t33 - t31 * t23),
+        abs(t02 * t13 - t12 * t03 + t22 * t33 - t32 * t23 - 1.0),
+    )
     # the largest |entry| of a positive definite M4 is on its diagonal
-    _factor_gate(max(fact), max(symp), 1.0 + max(M[0][0], M[1][1], M[2][2], M[3][3]))
-    return np.array(rows)
+    _factor_gate(_worst(fact), _worst(symp), 1.0 + max(m00, m11, m22, m33))
+    return np.array(
+        (t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23, t30, t31, t32, t33)
+    ).reshape(4, 4)
 
 
 def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):

@@ -77,6 +77,49 @@ def random_compatible_quadruple(rng, gap=0.05):
     return m1, m2, k1, k2
 
 
+def form_matrix(m1, m2, kx, kp):
+    """The two-mode standard shape with locals (m1, m2) and couplings (k_x, k_p)."""
+    V = np.diag([m1, m1, m2, m2])
+    V[0, 2] = V[2, 0] = kx
+    V[1, 3] = V[3, 1] = kp
+    return V
+
+
+def pair_block(a, b, C):
+    """[[a I, C], [C^T, b I]], the pivot block shape inside jacobi_decompose."""
+    M = np.diag([a, a, b, b])
+    M[0:2, 2:4] = C
+    M[2:4, 0:2] = np.transpose(C)
+    return M
+
+
+def pivot_edge_blocks():
+    """Positive definite 4x4 blocks on the edges of the two-mode kernel's domain."""
+    r = 0.4
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    return [
+        pair_block(1.5, 3.0, np.zeros((2, 2))),  # C = 0
+        pair_block(2.0, 2.0, np.zeros((2, 2))),  # C = 0 and a = b: tied kappa
+        form_matrix(2.0, 2.0, 1.0, 1.0),  # k_x = k_p, a = b
+        form_matrix(2.0, 3.5, 0.8, 0.8),  # k_x = k_p
+        form_matrix(2.0, 3.5, 0.8, -0.8),  # k_x = -k_p
+        form_matrix(ch, ch, sh, -sh),  # two-mode squeezed vacuum: kappa = (1, 1)
+        2.5 * form_matrix(ch, ch, sh, -sh),  # tied kappa = (2.5, 2.5)
+        pair_block(2.0, 3.0, np.array([[0.0, 0.7], [0.7, 0.0]])),  # det C < 0
+        pair_block(2.0, 3.0, np.array([[0.0, 0.7], [-0.7, 0.0]])),  # det C > 0, rotated
+        form_matrix(1.0, 9.0, 2.5, 0.0),  # rank-one C
+    ]
+
+
+def non_positive_definite_blocks():
+    """Symmetric 4x4 blocks that the two-mode kernel must reject."""
+    return [
+        form_matrix(1.0, 1.0, 1.2, 0.0),  # X indefinite
+        form_matrix(1.0, 1.0, 0.2, -1.5),  # P indefinite
+        pair_block(-1.0, 2.0, np.zeros((2, 2))),  # a single-mode block
+    ]
+
+
 def count_linalg_calls(monkeypatch):
     """Wrap the np.linalg factorizations; return the list their calls append to."""
     calls = []

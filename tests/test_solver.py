@@ -519,6 +519,50 @@ class TestSynthesizeGeneral:
         assert [s.pair for s in trace.steps] == SEVEN_PAIRS[:1]
         assert trace.stage_counts == (1, 0, 0, 0)
 
+    def test_step_error_carries_partial_trace(self, monkeypatch):
+        # the README instance's stage-3 step is the only pair_factor call
+        _, _, full = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+
+        def failing_pair_factor(*args):
+            raise gm.NumericalError("injected pair_factor failure")
+
+        monkeypatch.setattr(gm.solver, "pair_factor", failing_pair_factor)
+        with pytest.raises(gm.NumericalError, match="injected") as info:
+            gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        trace = info.value.trace
+        assert trace.steps == full.steps[:3]
+        assert [s.stage for s in trace.steps] == SEVEN_STAGES[:3]
+        assert trace.stage_counts == (2, 1, 0, 0)
+        assert trace.stage1_finalized == full.stage1_finalized
+        assert trace.sum_gap_initial == full.sum_gap_initial
+
+    def test_parameter_and_final_check_errors_carry_partial_trace(self, monkeypatch):
+        _, _, full = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+
+        def failing(*args):
+            raise gm.InfeasibleRedistributionError("injected")
+
+        # bs_param's first call is the first stage-1 step, sq_param's the stage-2 step
+        for name, done in (("bs_param", 0), ("sq_param", 2)):
+            with monkeypatch.context() as mp:
+                mp.setattr(gm.solver, name, failing)
+                with pytest.raises(gm.InfeasibleRedistributionError) as info:
+                    gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+            assert info.value.trace.steps == full.steps[:done]
+        # a last transfer that misses its target trips the final diagonal check
+        real_bs_param = gm.solver.bs_param
+        calls = []
+
+        def short_bs_param(a, b, target):
+            calls.append(1)
+            return real_bs_param(a, b, target) * (0.5 if len(calls) == 4 else 1.0)
+
+        monkeypatch.setattr(gm.solver, "bs_param", short_bs_param)
+        with pytest.raises(gm.NumericalError, match="schedule finished") as info:
+            gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        trace = info.value.trace
+        assert len(trace.steps) == len(full.steps) and trace.stage_counts == full.stage_counts
+
     def test_single_mode(self):
         S, V, trace = gm.synthesize((2.0,), (2.0,))
         assert trace.steps == [] and np.allclose(V, 2.0 * np.eye(2), atol=0)

@@ -3,13 +3,20 @@ and the vacuum, symmetry and factorization decisions each have one rule."""
 
 import ast
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 import gmarginal as gm
-from gmarginal import InvalidCovarianceError, NumericalError, UnphysicalSpectrumError, symplectic
+from gmarginal import (
+    InvalidCovarianceError,
+    NumericalError,
+    UnphysicalSpectrumError,
+    symplectic,
+    two_mode,
+)
 from gmarginal.cli import main
 from gmarginal.two_mode import _pivot_factor
 
@@ -130,3 +137,40 @@ class TestFactorizationGate:
             gm.williamson(V)
         with pytest.raises(NumericalError, match="required accuracy"):
             _pivot_factor(V)
+
+    def test_nan_residual_fails_the_gate(self):
+        symplectic._factor_gate(0.0, 0.0, 1.0)
+        for args in ((math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan)):
+            with pytest.raises(NumericalError, match="required accuracy"):
+                symplectic._factor_gate(*args)
+
+    def test_residual_reduction_carries_nan(self):
+        assert two_mode._worst((0.5, 2.0, 1.0)) == 2.0
+        assert two_mode._worst((0.0, math.inf)) == math.inf
+        for vals in ((math.nan, 1.0), (1.0, math.nan, 2.0), (0.0, 0.0, math.nan)):
+            assert math.isnan(two_mode._worst(vals))
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_kernel_rejects_a_nan_angle(self, monkeypatch, slot):
+        """A NaN phi (slot 0) in the off-block's SVD makes the first residual
+        NaN; a NaN theta (slot 3) leaves the first finite and later ones NaN."""
+        V, _, _ = gm.random_state(2, seed=5)
+        real_svd2, gates, calls = two_mode._svd2, [], []
+
+        def nan_angle(*args):
+            out = list(real_svd2(*args))
+            calls.append(1)
+            if len(calls) == 1:
+                out[slot] = math.nan
+            return tuple(out)
+
+        def recording_gate(*args):
+            gates.append(args)
+            symplectic._factor_gate(*args)
+
+        monkeypatch.setattr(two_mode, "_svd2", nan_angle)
+        monkeypatch.setattr(two_mode, "_factor_gate", recording_gate)
+        with pytest.raises(NumericalError, match="required accuracy"):
+            _pivot_factor(V)
+        ((res_fact, res_symp, _),) = gates
+        assert math.isnan(res_fact) and math.isnan(res_symp)

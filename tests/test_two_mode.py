@@ -15,26 +15,19 @@ from gmarginal import (
 )
 from gmarginal.two_mode import _pivot_factor
 
-from conftest import count_linalg_calls, rand_local_symplectic, random_compatible_quadruple
+from conftest import (
+    count_linalg_calls,
+    form_matrix,
+    non_positive_definite_blocks,
+    pair_block,
+    pivot_edge_blocks,
+    rand_local_symplectic,
+    random_compatible_quadruple,
+)
 
 N_SAMPLES = 60
 
 np.random.seed(0)  # module-level guard for any stray randomness
-
-
-def form_matrix(m1, m2, kx, kp):
-    V = np.diag([m1, m1, m2, m2])
-    V[0, 2] = V[2, 0] = kx
-    V[1, 3] = V[3, 1] = kp
-    return V
-
-
-def pair_block(a, b, C):
-    """[[a I, C], [C^T, b I]], the pivot block shape inside jacobi_decompose."""
-    M = np.diag([a, a, b, b])
-    M[0:2, 2:4] = C
-    M[2:4, 0:2] = np.transpose(C)
-    return M
 
 
 def check_pivot_factor(M4):
@@ -74,6 +67,11 @@ class TestInvariants:
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             gm.two_mode_invariants(np.eye(6))
+
+    def test_rejects_non_positive_definite_single_mode_block(self):
+        for M4 in (pair_block(-1.0, 2.0, np.zeros((2, 2))), np.diag([1.0, -1.0, 2.0, 2.0])):
+            with pytest.raises(InvalidCovarianceError):
+                gm.two_mode_invariants(M4)
 
 
 class TestStandardForm:
@@ -390,21 +388,7 @@ class TestPivotFactor:
                 check_pivot_factor(pair_block(a, b, R1 @ np.diag([c[0], sign * c[1]]) @ R2))
 
     def test_edge_blocks(self):
-        r = 0.4
-        ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-        cases = [
-            pair_block(1.5, 3.0, np.zeros((2, 2))),  # C = 0
-            pair_block(2.0, 2.0, np.zeros((2, 2))),  # C = 0 and a = b: tied kappa
-            form_matrix(2.0, 2.0, 1.0, 1.0),  # k_x = k_p, a = b
-            form_matrix(2.0, 3.5, 0.8, 0.8),  # k_x = k_p
-            form_matrix(2.0, 3.5, 0.8, -0.8),  # k_x = -k_p
-            form_matrix(ch, ch, sh, -sh),  # two-mode squeezed vacuum: kappa = (1, 1)
-            2.5 * form_matrix(ch, ch, sh, -sh),  # tied kappa = (2.5, 2.5)
-            pair_block(2.0, 3.0, np.array([[0.0, 0.7], [0.7, 0.0]])),  # det C < 0
-            pair_block(2.0, 3.0, np.array([[0.0, 0.7], [-0.7, 0.0]])),  # det C > 0, rotated
-            form_matrix(1.0, 9.0, 2.5, 0.0),  # rank-one C
-        ]
-        for M4 in cases:
+        for M4 in pivot_edge_blocks():
             check_pivot_factor(M4)
 
     def test_blocks_from_random_state_pivots(self, monkeypatch):
@@ -422,17 +406,13 @@ class TestPivotFactor:
             check_pivot_factor(M4)
 
     def test_rejects_non_positive_definite(self):
-        for M4 in (
-            form_matrix(1.0, 1.0, 1.2, 0.0),  # X indefinite
-            form_matrix(1.0, 1.0, 0.2, -1.5),  # P indefinite
-            pair_block(-1.0, 2.0, np.zeros((2, 2))),  # a single-mode block
-        ):
+        for M4 in non_positive_definite_blocks():
             with pytest.raises(InvalidCovarianceError):
                 _pivot_factor(M4)
 
 
 def test_normal_forms_call_no_linear_algebra_routine(monkeypatch):
-    """pair_factor, standard_form and local_normal_form are closed-form."""
+    """pair_factor, standard_form, two_mode_invariants and local_normal_form are closed-form."""
     V4 = gm.random_state(2, seed=5)[0]
     V = gm.random_state(6, seed=6)[0]
     calls = count_linalg_calls(monkeypatch)
@@ -443,5 +423,6 @@ def test_normal_forms_call_no_linear_algebra_routine(monkeypatch):
         gm.pair_factor(a, b, ta, tb)
     gm.standard_form(V4)
     gm.standard_form(form_matrix(2.0, 3.0, 0.8, -0.3))
+    gm.two_mode_invariants(V4)
     gm.local_normal_form(V)
     assert calls == []
