@@ -18,7 +18,6 @@ import numpy as np
 from .exceptions import (
     IncompatibleSpectraError,
     InfeasibleRedistributionError,
-    InvalidCovarianceError,
     NumericalError,
     UnphysicalSpectrumError,
 )
@@ -32,7 +31,8 @@ class InputError(Exception):
     """A problem with command-line arguments or input files."""
 
 
-def _format_value(obj) -> str:
+def dumps(obj) -> str:
+    """Serialize to JSON with 17 significant digits and stable field order."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -45,16 +45,11 @@ def _format_value(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_format_value(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in obj.items())
+        items = (f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps(obj) -> str:
-    """Serialize to JSON with 17 significant digits and stable field order."""
-    return _format_value(obj)
 
 
 def _load_json(path):
@@ -275,9 +270,6 @@ def main(argv=None) -> int:
     except (IncompatibleSpectraError, UnphysicalSpectrumError) as exc:
         print(f"incompatible: {exc}", file=sys.stderr)
         return 1
-    except InvalidCovarianceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, InfeasibleRedistributionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,6 @@ from .exceptions import (
 )
 from .spectra import _above_vacuum, _within_slack, check_physical, dominates, symplectic_spectrum
 from .symplectic import (
-    COUPLING_TOL,
     DEFAULT_TOL,
     VERIFY_TOL,
     _bs_block,
@@ -85,26 +84,13 @@ class SynthesisTrace:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Residuals of the three synthesis checks; ok when all are within tol."""
+    """Residuals of the three synthesis checks; ok when all are within tol (VERIFY_TOL)."""
 
     symplectic_residual: float
     diagonal_residual: float
     spectrum_residual: float
     tol: float
     ok: bool
-
-
-def _block_stats(W, i):
-    s = mode_slice(i)
-    B = W[s, s]
-    c = 0.5 * (B[0, 0] + B[1, 1])
-    iso = float(max(abs(B[0, 0] - c), abs(B[1, 1] - c), abs(B[0, 1]), abs(B[1, 0])))
-    return float(c), iso
-
-
-def _off_max(W, j, k):
-    """Largest |entry| of the off-diagonal block between modes j and k."""
-    return float(abs(W[mode_slice(j), mode_slice(k)]).max())
 
 
 def _pair_ids(i, j):
@@ -123,7 +109,8 @@ def _pair_index(n):
 def _row_off_max(W, j):
     """Largest |entry| of each 2x2 block in the rows of mode j, in mode order.
 
-    Entry k - 1 is ``_off_max(W, j, k)``; entry j - 1 is mode j's own block.
+    Entry k - 1 is max |W[mode_slice(j), mode_slice(k)]|; entry j - 1 is mode
+    j's own block.
     """
     a = abs(W[mode_slice(j)])
     a = np.maximum(a[0], a[1])
@@ -187,7 +174,7 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
         a JacobiTrace with ``converged=False``.
     """
     V = validate_covariance(V)
-    if not check_physical(V, COUPLING_TOL):
+    if not check_physical(V):
         raise InvalidCovarianceError("matrix is not a physical covariance matrix")
     n = V.shape[0] // 2
     W, locs, m = _local_normal_form(V)
@@ -237,7 +224,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     # a sweep without a pivot has just checked every pair; rescan only when
     # the sweep cap stopped the loop
     converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
-    kappa = np.sort([_block_stats(W, t)[0] for t in range(1, n + 1)])
+    d = W.diagonal()
+    kappa = np.sort(0.5 * (d[0::2] + d[1::2]))
     trace = JacobiTrace(
         steps=steps,
         sweeps=sweeps,
@@ -248,13 +236,12 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     return S, kappa, trace
 
 
-def synthesize(kappa, m, tol: float = DEFAULT_TOL):
+def synthesize(kappa, m):
     """Build a state with global parameters kappa and local parameters m.
 
     Args:
         kappa: sorted physical global parameters (kappa[0] >= 1).
         m: sorted local parameters; must be dominated by kappa.
-        tol: bookkeeping tolerance for finalization and structure checks.
 
     Returns:
         (S, V, SynthesisTrace) with V = S diag(kappa pairs) S^T, the
@@ -263,6 +250,8 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
 
     Each transfer touches only the four rows and columns of its pair, so it
     costs O(n), and the whole schedule of at most n - 1 transfers O(n^2).
+    Finalizing a mode and checking a pair's structure allow round-off of
+    DEFAULT_TOL * (1 + max(kappa_n, m_n)).
 
     Raises:
         UnphysicalSpectrumError: kappa[0] < 1.
@@ -291,7 +280,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
         )
 
     n = int(kappa.size)
-    atol = tol * (1.0 + float(max(kappa[-1], m[-1])))
+    atol = DEFAULT_TOL * (1.0 + float(max(kappa[-1], m[-1])))
     W = np.diag(np.repeat(kappa, 2))
     S = np.eye(2 * n)
     d = kappa.copy()
@@ -300,15 +289,21 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     sum_gap_initial = float(np.sum(m) - np.sum(kappa))
 
     def apply_step(stage, kind, i, j, param, transfer, t_i, t_j):
-        di, iso_i = _block_stats(W, i)
-        dj, iso_j = _block_stats(W, j)
-        cross = _off_max(W, i, j)
-        if max(iso_i, iso_j) > atol or cross > atol:
+        ids = _pair_ids(i, j)
+        rows = W.take(ids, axis=0)
+        (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
+            rows.take(ids, axis=1).tolist()
+        )
+        di, dj = 0.5 * (a00 + a11), 0.5 * (b00 + b11)
+        iso = max(abs(a00 - di), abs(a11 - di), abs(a01), abs(a10))
+        iso = max(iso, abs(b00 - dj), abs(b11 - dj), abs(b01), abs(b10))
+        cross = max(abs(c00), abs(c01), abs(c10), abs(c11))
+        if iso > atol or cross > atol:
             # the schedule never revisits a pair and BS/SQ keep the touched
             # blocks isotropic, so this only trips on lost accuracy
             raise NumericalError(
                 f"pair ({i}, {j}) is correlated or anisotropic before its step "
-                f"(cross {cross:.3e}, anisotropy {max(iso_i, iso_j):.3e})"
+                f"(cross {cross:.3e}, anisotropy {iso:.3e})"
             )
         if kind == "BS":
             T4 = _bs_block(float(param))
@@ -316,8 +311,7 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
             T4 = _sq_block(float(param))
         else:
             T4 = pair_factor(di, dj, t_i, t_j)
-        ids = _pair_ids(i, j)
-        P = _apply_pair(W, S, T4, ids, W.take(ids, axis=0))
+        P = _apply_pair(W, S, T4, ids, rows)
         d[i - 1] = 0.5 * (P[0, 0] + P[1, 1])
         d[j - 1] = 0.5 * (P[2, 2] + P[3, 3])
         steps.append(
@@ -411,12 +405,13 @@ def synthesize(kappa, m, tol: float = DEFAULT_TOL):
     return S, W, trace
 
 
-def verify(S, kappa, m, tol: float = VERIFY_TOL) -> VerifyReport:
+def verify(S, kappa, m) -> VerifyReport:
     """Independent residual check of a synthesis result.
 
     Checks that S is symplectic, that the diagonal blocks of
     S diag(kappa pairs) S^T are isotropic with values matching m as a
-    multiset, and that the symplectic spectrum equals sorted kappa.
+    multiset, and that the symplectic spectrum equals sorted kappa, each
+    within VERIFY_TOL, absolute.
     """
     S = np.asarray(S, dtype=float)
     kappa = np.sort(np.asarray(kappa, dtype=float))
@@ -427,18 +422,18 @@ def verify(S, kappa, m, tol: float = VERIFY_TOL) -> VerifyReport:
     res_symp = _symplectic_residual(S)
     V = (S * np.repeat(kappa, 2)) @ S.T
     V = 0.5 * (V + V.T)
-    # _block_stats of every mode at once: V is exactly symmetric, so the
-    # superdiagonal entry of each block stands for both off-diagonal ones
+    # each mode's block center and anisotropy: V is exactly symmetric, so
+    # the superdiagonal entry of each block stands for both off-diagonal ones
     d0, d1, off = V.diagonal()[0::2], V.diagonal()[1::2], V.diagonal(1)[0::2]
     vals = 0.5 * (d0 + d1)
     iso_max = float(np.max(np.abs([d0 - vals, d1 - vals, off])))
     res_diag = max(iso_max, float(np.max(np.abs(np.sort(vals) - m))))
     res_spec = float(np.max(np.abs(symplectic_spectrum(V) - kappa)))
-    ok = bool(res_symp <= tol and res_diag <= tol and res_spec <= tol)
+    ok = bool(res_symp <= VERIFY_TOL and res_diag <= VERIFY_TOL and res_spec <= VERIFY_TOL)
     return VerifyReport(
         symplectic_residual=res_symp,
         diagonal_residual=res_diag,
         spectrum_residual=res_spec,
-        tol=float(tol),
+        tol=VERIFY_TOL,
         ok=ok,
     )

@@ -11,7 +11,6 @@ import numpy as np
 from .exceptions import InvalidCovarianceError, NumericalError
 from .symplectic import (
     COUPLING_TOL,
-    DEFAULT_TOL,
     _factor_gate,
     _omega_rows,
     _symplectic_residual,
@@ -44,7 +43,7 @@ class WilliamsonFactorization:
     kappa: np.ndarray
 
 
-def _chol_form(V: np.ndarray, tol: float):
+def _chol_form(V: np.ndarray):
     """Validate V and return (V, L, L^T Omega L) with V = L L^T Cholesky.
 
     The third matrix A is antisymmetrized exactly.  It is similar to
@@ -55,7 +54,7 @@ def _chol_form(V: np.ndarray, tol: float):
         InvalidCovarianceError: V is not symmetric or not positive definite
             (a singular positive semidefinite V included).
     """
-    V = validate_covariance(V, tol)
+    V = validate_covariance(V)
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
@@ -64,7 +63,7 @@ def _chol_form(V: np.ndarray, tol: float):
     return V, L, 0.5 * (A - A.T)
 
 
-def symplectic_spectrum(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def symplectic_spectrum(V: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted nondecreasing.
 
     The real antisymmetric A = L^T Omega L of the Cholesky factor V = L L^T
@@ -76,11 +75,11 @@ def symplectic_spectrum(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     absolute error of a few ulps of kappa_n, plus the Cholesky error, which
     grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
     """
-    _, _, A = _chol_form(V, tol)
+    _, _, A = _chol_form(V)
     return np.linalg.svd(A, compute_uv=False)[::-2].copy()
 
 
-def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
+def williamson(V: np.ndarray) -> WilliamsonFactorization:
     """Factor V as S diag(kappa pairs) S^T with S symplectic and kappa sorted.
 
     Uses the Hermitian matrix i * A, A = L^T Omega L for the Cholesky
@@ -97,7 +96,7 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonFactorizati
     S = L O D^(-1/2) then gives S D S^T = L L^T = V, and it is symplectic
     because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
     """
-    V, L, A = _chol_form(V, tol)
+    V, L, A = _chol_form(V)
     n = V.shape[0] // 2
     w, U = np.linalg.eigh(1j * A)
     kappa = w[n:].copy()
@@ -118,10 +117,11 @@ def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:
     return bool(kappa_min >= 1.0 - tol)
 
 
-def check_physical(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def check_physical(V: np.ndarray, tol: float = COUPLING_TOL) -> bool:
     """True when the smallest symplectic eigenvalue of V is >= 1 - tol.
 
-    ``tol`` is the vacuum slack only; symmetry is tested at DEFAULT_TOL.
+    ``tol`` is the vacuum slack only; the default is the package's vacuum
+    rule, and symmetry is tested at DEFAULT_TOL.
     Returns False (instead of raising) when V is not a valid covariance
     matrix, e.g. not symmetric or not positive definite.
     """

@@ -14,15 +14,17 @@ import numpy as np
 from .exceptions import InvalidCovarianceError, NumericalError
 
 # The package's thresholds, each named once; see "Tolerances" in the README.
+# Only is_symplectic, check_physical and jacobi_decompose take a ``tol``.
 
 #: Structure: ``validate_covariance`` rejects max|V - V^T| > DEFAULT_TOL (1 + max|V|).
-#: Also the default ``tol`` of ``is_symplectic`` (absolute), ``check_physical``,
-#: ``jacobi_decompose`` and ``synthesize``; each ``tol`` sets one threshold.
+#: Also ``synthesize``'s bookkeeping allowance (relative) and the default ``tol`` of
+#: ``is_symplectic`` (absolute) and ``jacobi_decompose`` (off-block threshold).
 DEFAULT_TOL = 1e-10
-#: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL, the dominance
-#: allowance of ``_within_slack`` and the two-mode feasibility checks, each scaled there.
+#: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL (the default
+#: ``tol`` of ``check_physical``), the dominance allowance of ``_within_slack`` and
+#: the two-mode feasibility checks, each scaled there.
 COUPLING_TOL = 1e-9
-#: Default of ``verify``, absolute, and the floor of ``synthesize``'s final diagonal check.
+#: ``verify``'s bound, absolute, and the floor of ``synthesize``'s final diagonal check.
 VERIFY_TOL = 1e-8
 #: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|.
 FACTOR_TOL = 1e-6
@@ -152,7 +154,7 @@ def squeezer_pair(mu: float, j: int, k: int, n: int) -> np.ndarray:
     return expand_two_mode(_sq_block(float(mu)), j, k, n)
 
 
-def validate_covariance(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_covariance(V: np.ndarray) -> np.ndarray:
     """Validate shape/symmetry of a covariance matrix and return it symmetrized.
 
     Positive definiteness is not checked here; routines that need it check
@@ -166,19 +168,19 @@ def validate_covariance(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.all(np.isfinite(V)):
         raise InvalidCovarianceError("covariance matrix contains non-finite entries")
     scale = 1.0 + float(np.max(np.abs(V)))
-    if float(np.max(np.abs(V - V.T))) > tol * scale:
+    if float(np.max(np.abs(V - V.T))) > DEFAULT_TOL * scale:
         raise InvalidCovarianceError("covariance matrix is not symmetric")
     return 0.5 * (V + V.T)
 
 
-def local_parameters(V: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def local_parameters(V: np.ndarray) -> np.ndarray:
     """Local parameters m_j = sqrt(det B_j) of the single-mode blocks, in mode order.
 
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, or a
             single-mode block is not positive definite.
     """
-    return _local_parameters(validate_covariance(V, tol))
+    return _local_parameters(validate_covariance(V))
 
 
 def _local_parameters(V: np.ndarray) -> np.ndarray:
@@ -211,7 +213,7 @@ def _spd_roots(x0, xk, x1):
     return ((x0 + d) / t, xk / t, (x1 + d) / t), ((x1 + d) * u, -xk * u, (x0 + d) * u), d
 
 
-def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
+def local_normal_form(V: np.ndarray):
     """Bring every single-mode block to an isotropic multiple of the identity.
 
     L_j = sqrt(m_j) B_j^(-1/2) comes from the closed-form root ``_spd_roots``,
@@ -219,8 +221,7 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
     eigensolver runs; L acts block by block on rows, then columns.
 
     Args:
-        V: 2n x 2n covariance matrix.
-        tol: symmetry tolerance used during validation.
+        V: 2n x 2n covariance matrix; its symmetry is tested at DEFAULT_TOL.
 
     Returns:
         (V2, locals, m) where ``locals`` is a list of per-mode 2x2
@@ -228,7 +229,7 @@ def local_normal_form(V: np.ndarray, tol: float = DEFAULT_TOL):
         sum L of those blocks, every diagonal block of V2 equals m_j * I,
         and ``m`` holds the local parameters from ``local_parameters``.
     """
-    return _local_normal_form(validate_covariance(V, tol))
+    return _local_normal_form(validate_covariance(V))
 
 
 def _local_normal_form(V: np.ndarray):

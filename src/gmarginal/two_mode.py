@@ -251,7 +251,7 @@ def _pivot_factor(M4):
     ).reshape(4, 4)
 
 
-def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):
+def solve_couplings(m1, m2, kappa1, kappa2):
     """Couplings (k_x, k_p) of the standard form with the given spectra.
 
     With P = k_x k_p fixed by the trace invariant and Q = k_x^2 + k_p^2
@@ -261,14 +261,14 @@ def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):
 
     Raises:
         IncompatibleSpectraError: no real couplings exist, i.e.
-            m1 * m2 - |P| < kappa1 * kappa2 beyond tolerance.
+            m1 * m2 - |P| < kappa1 * kappa2 beyond COUPLING_TOL * m1 * m2.
     """
     for v in (m1, m2, kappa1, kappa2):
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError("spectral parameters must be positive reals")
     P = 0.5 * ((kappa1**2 + kappa2**2) - (m1**2 + m2**2))
     g = m1 * m2
-    if g - abs(P) < kappa1 * kappa2 - tol * g:
+    if g - abs(P) < kappa1 * kappa2 - COUPLING_TOL * g:
         raise IncompatibleSpectraError(
             f"no two-mode state has locals ({m1}, {m2}) and globals ({kappa1}, {kappa2})"
         )
@@ -283,7 +283,7 @@ def solve_couplings(m1, m2, kappa1, kappa2, tol: float = COUPLING_TOL):
     kx = float(np.sqrt(t_hi))
     # the smaller root satisfies t_hi * t_lo = P^2 exactly, so recover the
     # second coupling from the product invariant instead of the noisy root
-    kp = float(P / kx) if kx > tol * g else 0.0
+    kp = float(P / kx) if kx > COUPLING_TOL * g else 0.0
     return kx, kp
 
 
@@ -301,7 +301,7 @@ def reconstruct_two_mode(m1, m2, kappa1, kappa2) -> np.ndarray:
     return V
 
 
-def bs_param(a, b, target, tol: float = COUPLING_TOL) -> float:
+def bs_param(a, b, target) -> float:
     """Beam-splitter angle moving the pair (a, b) to (target, a + b - target).
 
     The target must lie between a and b (the congruence preserves the sum,
@@ -311,7 +311,7 @@ def bs_param(a, b, target, tol: float = COUPLING_TOL) -> float:
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError("diagonal values must be positive reals")
     lo, hi = min(a, b), max(a, b)
-    slack = tol * (1.0 + hi)
+    slack = COUPLING_TOL * (1.0 + hi)
     if target < lo - slack or target > hi + slack:
         raise InfeasibleRedistributionError(
             f"target {target} lies outside the reachable interval [{lo}, {hi}]"
@@ -322,18 +322,18 @@ def bs_param(a, b, target, tol: float = COUPLING_TOL) -> float:
     return float(np.arcsin(np.sqrt(ratio)))
 
 
-def sq_param(a, b, eps, tol: float = COUPLING_TOL) -> float:
+def sq_param(a, b, eps) -> float:
     """Squeezer parameter raising the pair (a, b) to (a + eps, b + eps)."""
     for v in (a, b):
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError("diagonal values must be positive reals")
-    if eps < -tol * (1.0 + a + b):
+    if eps < -COUPLING_TOL * (1.0 + a + b):
         raise InfeasibleRedistributionError("squeezing can only raise the pair, eps must be >= 0")
     eps = max(float(eps), 0.0)
     return float(np.arcsinh(np.sqrt(eps / (a + b))))
 
 
-def diagonalize_balanced(form: TwoModeStandardForm, tol: float = COUPLING_TOL):
+def diagonalize_balanced(form: TwoModeStandardForm):
     """Single elementary generator diagonalizing a balanced standard form.
 
     For k_p = k_x (balanced beam-splitter coupling) the returned value is
@@ -348,7 +348,7 @@ def diagonalize_balanced(form: TwoModeStandardForm, tol: float = COUPLING_TOL):
     """
     kx, kp = form.k_x, form.k_p
     m1, m2 = form.m1, form.m2
-    slack = tol * (1.0 + max(abs(kx), abs(kp)))
+    slack = COUPLING_TOL * (1.0 + max(abs(kx), abs(kp)))
     if abs(kx - kp) <= slack:
         k = 0.5 * (kx + kp)
         if abs(k) <= slack:
@@ -365,7 +365,7 @@ def diagonalize_balanced(form: TwoModeStandardForm, tol: float = COUPLING_TOL):
 _SWAP = _bs_block(np.pi / 2.0)
 
 
-def pair_factor(a, b, t_a, t_b, tol: float = COUPLING_TOL) -> np.ndarray:
+def pair_factor(a, b, t_a, t_b) -> np.ndarray:
     """General two-mode symplectic moving diagonal pair (a, b) to (t_a, t_b).
 
     The result S satisfies: S diag(a, a, b, b) S^T has diagonal blocks
@@ -383,7 +383,7 @@ def pair_factor(a, b, t_a, t_b, tol: float = COUPLING_TOL) -> np.ndarray:
             raise ValueError("diagonal values must be positive reals")
     s_lo, s_hi = sorted((float(a), float(b)))
     t_lo, t_hi = sorted((float(t_a), float(t_b)))
-    slack = tol * (1.0 + s_hi + t_hi)
+    slack = COUPLING_TOL * (1.0 + s_hi + t_hi)
     if t_lo + t_hi < s_lo + s_hi - slack or (t_hi - t_lo) > (s_hi - s_lo) + slack:
         raise InfeasibleRedistributionError(
             f"targets ({t_a}, {t_b}) are not reachable from ({a}, {b})"

@@ -2,6 +2,7 @@
 and the vacuum, symmetry and factorization decisions each have one rule."""
 
 import ast
+import inspect
 import json
 import math
 import pathlib
@@ -76,6 +77,24 @@ class TestNamedOnce:
         assert gm.two_mode.COUPLING_TOL is symplectic.COUPLING_TOL
 
 
+class TestTolSurface:
+    def test_only_three_public_callables_take_tol(self):
+        """Thresholds are fixed; three callables keep a knob that tests set."""
+        defaults = {}
+        for name in gm.__all__:
+            obj = getattr(gm, name)
+            # classes are skipped: VerifyReport.tol is an output field
+            if callable(obj) and not isinstance(obj, type):
+                param = inspect.signature(obj).parameters.get("tol")
+                if param is not None:
+                    defaults[name] = param.default
+        assert defaults == {
+            "is_symplectic": symplectic.DEFAULT_TOL,
+            "check_physical": symplectic.COUPLING_TOL,
+            "jacobi_decompose": symplectic.DEFAULT_TOL,
+        }
+
+
 class TestVacuumRule:
     def test_jacobi_rejects_below_the_rule(self):
         with pytest.raises(InvalidCovarianceError, match="not a physical"):
@@ -94,6 +113,7 @@ class TestVacuumRule:
 
     def test_within_round_off_is_accepted_everywhere(self, tmp_path, capsys):
         V = np.diag([1.0 - 5e-10, 1.0 - 5e-10, 2.0, 2.0])
+        assert gm.check_physical(V)
         _, kappa, trace = gm.jacobi_decompose(V)
         assert trace.converged and abs(kappa[0] - (1.0 - 5e-10)) < 1e-15
         gm.synthesize([1.0 - 5e-10, 2.0], [1.5 - 5e-10, 1.5])
