@@ -37,7 +37,10 @@ from .spectra import (
     williamson,
 )
 from .symplectic import (
+    COUPLING_TOL,
     DEFAULT_TOL,
+    FACTOR_TOL,
+    VERIFY_TOL,
     beam_splitter_pair,
     expand_two_mode,
     is_symplectic,
@@ -65,8 +68,10 @@ from .two_mode import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "COUPLING_TOL",
     "DEFAULT_TOL",
     "DominanceCertificate",
+    "FACTOR_TOL",
     "IncompatibleSpectraError",
     "InfeasibleRedistributionError",
     "InvalidCovarianceError",
@@ -77,6 +82,7 @@ __all__ = [
     "SynthesisTrace",
     "TwoModeStandardForm",
     "UnphysicalSpectrumError",
+    "VERIFY_TOL",
     "VerifyReport",
     "WilliamsonFactorization",
     "beam_splitter_pair",

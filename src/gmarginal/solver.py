@@ -27,13 +27,14 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _above_vacuum, _within_slack, check_physical, dominates, symplectic_spectrum
+from .spectra import _above_vacuum, _within_slack, check_physical, dominates
 from .symplectic import (
     DEFAULT_TOL,
     VERIFY_TOL,
     _bs_block,
     _sq_block,
     _local_normal_form,
+    _subtract_omega,
     _symplectic_residual,
     mode_slice,
     validate_covariance,
@@ -84,7 +85,14 @@ class SynthesisTrace:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Residuals of the three synthesis checks; ok when all are within tol (VERIFY_TOL)."""
+    """Residuals of the three synthesis checks; ok when all are within tol (VERIFY_TOL).
+
+    ``spectrum_residual`` is a certified upper bound on the spectral error,
+    not a measurement: by Weyl's inequality for singular values (Horn and
+    Johnson, Topics in Matrix Analysis, Thm 3.3.16) each symplectic
+    eigenvalue of S diag(kappa pairs) S^T is within
+    ||D^(1/2) (S^T Omega S - Omega) D^(1/2)||_F of its kappa; see ``verify``.
+    """
 
     symplectic_residual: float
     diagonal_residual: float
@@ -321,7 +329,7 @@ def synthesize(kappa, m):
                 pair=(i, j),
                 param=param,
                 transfer=float(transfer),
-                diag_after=[float(x) for x in d],
+                diag_after=d.tolist(),
             )
         )
         stage_counts[stage - 1] += 1
@@ -409,9 +417,21 @@ def verify(S, kappa, m) -> VerifyReport:
     """Independent residual check of a synthesis result.
 
     Checks that S is symplectic, that the diagonal blocks of
-    S diag(kappa pairs) S^T are isotropic with values matching m as a
-    multiset, and that the symplectic spectrum equals sorted kappa, each
-    within VERIFY_TOL, absolute.
+    V = S diag(kappa pairs) S^T are isotropic with values matching m as a
+    multiset, and that the symplectic spectrum of V is sorted kappa, each
+    within VERIFY_TOL, absolute.  A singular or non-finite S fails the
+    check; it is not an error.  kappa must be positive and finite.
+
+    The spectrum is not recomputed: ``spectrum_residual`` is a certified
+    upper bound on max_j |kappa'_j - kappa_j| for the spectrum kappa' of V.
+    With D = diag(kappa pairs), F = S D^(1/2) factors V, and D^(1/2)
+    commutes with Omega, so F^T Omega F = Omega D + D^(1/2) E D^(1/2) for
+    E = S^T Omega S - Omega; Weyl's inequality for singular values (Horn
+    and Johnson, Topics in Matrix Analysis, Thm 3.3.16) then bounds each
+    |kappa'_j - kappa_j| by ||D^(1/2) E D^(1/2)||_2 <= ||D^(1/2) E D^(1/2)||_F,
+    the value reported.  E is formed in floating point, so the bound holds
+    up to that product's own round-off.  It scales with kappa, and no
+    factorization runs.
     """
     S = np.asarray(S, dtype=float)
     kappa = np.sort(np.asarray(kappa, dtype=float))
@@ -419,8 +439,11 @@ def verify(S, kappa, m) -> VerifyReport:
     n = kappa.size
     if S.shape != (2 * n, 2 * n) or m.size != n:
         raise ValueError("shape mismatch between S and the parameter vectors")
+    if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
+        raise ValueError("global parameters must be positive finite reals")
     res_symp = _symplectic_residual(S)
-    V = (S * np.repeat(kappa, 2)) @ S.T
+    d = np.repeat(kappa, 2)
+    V = (S * d) @ S.T
     V = 0.5 * (V + V.T)
     # each mode's block center and anisotropy: V is exactly symmetric, so
     # the superdiagonal entry of each block stands for both off-diagonal ones
@@ -428,7 +451,14 @@ def verify(S, kappa, m) -> VerifyReport:
     vals = 0.5 * (d0 + d1)
     iso_max = float(np.max(np.abs([d0 - vals, d1 - vals, off])))
     res_diag = max(iso_max, float(np.max(np.abs(np.sort(vals) - m))))
-    res_spec = float(np.max(np.abs(symplectic_spectrum(V) - kappa)))
+    # S^T Omega S = M - M^T for M = S[0::2]^T S[1::2], which costs half a
+    # full product; E comes out exactly antisymmetric
+    M = S[0::2].T @ S[1::2]
+    E = _subtract_omega(M - M.T)
+    r = np.sqrt(d)
+    E *= r[:, None]
+    E *= r
+    res_spec = math.sqrt(float(np.vdot(E, E)))
     ok = bool(res_symp <= VERIFY_TOL and res_diag <= VERIFY_TOL and res_spec <= VERIFY_TOL)
     return VerifyReport(
         symplectic_residual=res_symp,

@@ -69,15 +69,22 @@ def _omega_rows(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symplectic_residual(S: np.ndarray) -> float:
-    """max |S Omega S^T - Omega|, with Omega S^T formed by ``_omega_rows``."""
-    R = S @ _omega_rows(S.T)
-    # Omega's entries are R[2j, 2j + 1] and R[2j + 1, 2j] of the flat view
-    step = 2 * S.shape[0] + 2
+def _subtract_omega(R: np.ndarray) -> np.ndarray:
+    """R - Omega in place, for a C-contiguous square R; returns R.
+
+    Omega's entries are R[2j, 2j + 1] and R[2j + 1, 2j], two strided views
+    of the flat R, so no dense Omega is formed.
+    """
+    step = 2 * R.shape[0] + 2
     flat = R.reshape(-1)
     flat[1::step] -= 1.0
-    flat[S.shape[0] :: step] += 1.0
-    return float(np.max(np.abs(R)))
+    flat[R.shape[0] :: step] += 1.0
+    return R
+
+
+def _symplectic_residual(S: np.ndarray) -> float:
+    """max |S Omega S^T - Omega|, with Omega S^T formed by ``_omega_rows``."""
+    return float(np.max(np.abs(_subtract_omega(S @ _omega_rows(S.T)))))
 
 
 def _factor_gate(res_fact: float, res_symp: float, scale: float) -> None:

@@ -3,7 +3,10 @@
 mpmath recomputes kappa of the floating-point matrix V itself at 50
 significant digits (Cholesky factor L, then the singular values of
 L^T Omega L), so a comparison measures the error of the double-precision
-routine alone, not the round-off made in building V.
+routine alone, not the round-off made in building V.  For ``verify`` the
+oracle forms S diag(kappa pairs) S^T from the floating-point S at 50 digits
+too, so it measures how far the spectrum of that exact product is from the
+requested kappa, which ``spectrum_residual`` must bound.
 """
 
 import mpmath
@@ -19,17 +22,31 @@ from conftest import bloch_messiah_state
 KAPPA_RTOL = 1e-13
 
 
+def _mp_kappa(V):
+    """Symplectic eigenvalues of the mpmath matrix V, ascending, at the working precision."""
+    n = V.rows // 2
+    L = mpmath.cholesky(V)
+    omega = mpmath.zeros(2 * n)
+    for j in range(n):
+        omega[2 * j, 2 * j + 1] = 1
+        omega[2 * j + 1, 2 * j] = -1
+    return sorted(mpmath.svd_r(L.T * omega * L, compute_uv=False))[0::2]
+
+
 def oracle_kappa(V):
     """Symplectic eigenvalues of V at 50 digits, rounded to float, ascending."""
-    n = V.shape[0] // 2
     with mpmath.workdps(50):
-        L = mpmath.cholesky(mpmath.matrix(V.tolist()))
-        omega = mpmath.zeros(2 * n)
-        for j in range(n):
-            omega[2 * j, 2 * j + 1] = 1
-            omega[2 * j + 1, 2 * j] = -1
-        s = mpmath.svd_r(L.T * omega * L, compute_uv=False)
-        return np.array(sorted(float(x) for x in s)[0::2])
+        return np.array([float(x) for x in _mp_kappa(mpmath.matrix(V.tolist()))])
+
+
+def oracle_verify_error(S, kappa):
+    """max_j |kappa'_j - kappa_j| for kappa' the spectrum of S diag(kappa pairs) S^T,
+    with the product formed from the floating-point S and evaluated at 50 digits."""
+    kappa = np.sort(np.asarray(kappa, dtype=float))
+    with mpmath.workdps(50):
+        S_mp = mpmath.matrix(S.tolist())
+        V = S_mp * mpmath.diag(np.repeat(kappa, 2).tolist()) * S_mp.T
+        return max(float(abs(x - k)) for x, k in zip(_mp_kappa(V), kappa.tolist()))
 
 
 def _states():
@@ -55,3 +72,27 @@ def test_kappa_matches_high_precision_oracle(state, routine):
     ref = oracle_kappa(V)
     err = float(np.max(np.abs(ROUTINES[routine](V) - ref) / ref))
     assert err <= KAPPA_RTOL, f"{routine} on {state}: relative kappa error {err:.2e}"
+
+
+def _syntheses():
+    seven_kappa = (1.0, 2.0, 3.0, 4.0, 5.0, 12.0, 18.0)
+    yield "seven-mode-readme", seven_kappa, (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
+    for n in (2, 4, 8):
+        V, _ = bloch_messiah_state(np.random.default_rng(200 + n), n)
+        yield f"bloch-messiah-{n}", gm.symplectic_spectrum(V), np.sort(gm.local_parameters(V))
+    yield "tied-kappa", (1.0, 1.0, 2.0, 2.0, 2.0, 5.0), (1.5, 1.5, 2.0, 2.0, 2.5, 3.5)
+    yield "all-tied-kappa", (2.0, 2.0, 2.0, 2.0), (2.5, 2.5, 2.5, 2.5)
+
+
+SYNTHESES = {name: (kappa, m) for name, kappa, m in _syntheses()}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHESES))
+def test_verify_bound_covers_high_precision_error(case):
+    kappa, m = SYNTHESES[case]
+    S, _, _ = gm.synthesize(kappa, m)
+    report = gm.verify(S, kappa, m)
+    err = oracle_verify_error(S, kappa)
+    assert report.ok
+    bound = report.spectrum_residual
+    assert 0.0 < err <= bound, f"{case}: error {err:.2e}, bound {bound:.2e}"

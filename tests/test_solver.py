@@ -388,6 +388,23 @@ class TestSynthesizeSevenModes:
         assert report.spectrum_residual < 1e-10
         assert np.allclose(np.diag(V)[::2], SEVEN_M, atol=1e-9, rtol=0)
 
+    def test_diag_after_is_a_list_of_python_floats(self, monkeypatch):
+        """Each step's diag_after equals [float(x) for x in d] of a replica of d
+        kept from the pair blocks that ``_apply_pair`` returns."""
+        real_apply, replica, expected = solver._apply_pair, np.array(SEVEN_KAPPA), []
+
+        def recording_apply(W, S, T4, ids, rows):
+            P = real_apply(W, S, T4, ids, rows)
+            replica[ids[0] // 2] = 0.5 * (P[0, 0] + P[1, 1])
+            replica[ids[2] // 2] = 0.5 * (P[2, 2] + P[3, 3])
+            expected.append([float(x) for x in replica])
+            return P
+
+        monkeypatch.setattr(solver, "_apply_pair", recording_apply)
+        _, _, trace = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        assert [step.diag_after for step in trace.steps] == expected
+        assert all(type(x) is float for step in trace.steps for x in step.diag_after)
+
     def test_output_does_not_depend_on_eigenvector_phases(self, monkeypatch):
         """The stage-3 factor is closed-form, so S and V are fixed by (kappa, m)."""
         S0, V0, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
@@ -715,3 +732,45 @@ class TestVerify:
             for T in (S, damaged):
                 got = gm.verify(T, kappa, m).diagonal_residual
                 assert got == loop_diagonal_residual(T, kappa, m)
+
+    def test_spectrum_residual_is_the_weyl_bound(self):
+        """||D^(1/2) (S^T Omega S - Omega) D^(1/2)||_F with a dense Omega."""
+        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        S = S.copy()
+        S[2, 5] += 1e-6
+        omega = gm.symplectic_form(7)
+        r = np.sqrt(np.repeat(SEVEN_KAPPA, 2))
+        dense = np.linalg.norm(r[:, None] * (S.T @ omega @ S - omega) * r)
+        got = gm.verify(S, SEVEN_KAPPA, SEVEN_M).spectrum_residual
+        assert abs(got - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("entry", [(0, 0), "largest"])
+    def test_one_scaled_entry_fails(self, entry):
+        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        if entry == "largest":
+            entry = np.unravel_index(np.argmax(np.abs(S)), S.shape)
+        S = S.copy()
+        S[entry] *= 1.0 + 1e-7
+        report = gm.verify(S, SEVEN_KAPPA, SEVEN_M)
+        assert not report.ok
+        assert report.spectrum_residual > gm.VERIFY_TOL
+
+    def test_calls_no_linear_algebra_routine(self, monkeypatch):
+        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        calls = count_linalg_calls(monkeypatch)
+        assert gm.verify(S, SEVEN_KAPPA, SEVEN_M).ok
+        assert calls == []
+
+    def test_singular_or_nan_factor_fails_without_raising(self):
+        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        singular = S.copy()
+        singular[3] = 0.0
+        with_nan = S.copy()
+        with_nan[3, 4] = np.nan
+        for T in (singular, with_nan, np.zeros_like(S)):
+            assert not gm.verify(T, SEVEN_KAPPA, SEVEN_M).ok
+
+    @pytest.mark.parametrize("kappa", [(0.0, 3.0), (-1.0, 3.0), (np.nan, 3.0), (1.0, np.inf)])
+    def test_rejects_nonpositive_or_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="positive finite"):
+            gm.verify(np.eye(4), kappa, (2.0, 2.0))

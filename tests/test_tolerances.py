@@ -74,7 +74,7 @@ class TestNamedOnce:
         assert all(line in lines for line, _ in small_float_literals(SRC / "symplectic.py"))
 
     def test_two_mode_imports_the_coupling_tolerance(self):
-        assert gm.two_mode.COUPLING_TOL is symplectic.COUPLING_TOL
+        assert gm.two_mode.COUPLING_TOL is gm.COUPLING_TOL
 
 
 class TestTolSurface:
@@ -89,10 +89,15 @@ class TestTolSurface:
                 if param is not None:
                     defaults[name] = param.default
         assert defaults == {
-            "is_symplectic": symplectic.DEFAULT_TOL,
-            "check_physical": symplectic.COUPLING_TOL,
-            "jacobi_decompose": symplectic.DEFAULT_TOL,
+            "is_symplectic": gm.DEFAULT_TOL,
+            "check_physical": gm.COUPLING_TOL,
+            "jacobi_decompose": gm.DEFAULT_TOL,
         }
+
+    def test_every_threshold_is_exported(self):
+        exported = {name: getattr(gm, name) for name in gm.__all__ if name.endswith("_TOL")}
+        assert exported == THRESHOLDS
+        assert all(getattr(gm, name) is getattr(symplectic, name) for name in THRESHOLDS)
 
 
 class TestVacuumRule:
