@@ -98,7 +98,7 @@ def _load_matrix(path) -> np.ndarray:
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
-    return {"n": M.shape[0] // 2, "data": [float(x) for x in M.reshape(-1)]}
+    return {"n": M.shape[0] // 2, "data": M.reshape(-1)}
 
 
 def _write(path, doc) -> None:
@@ -140,21 +140,17 @@ def run_check(global_path, local_path) -> int:
 
 
 def _trace_doc(trace) -> dict:
-    steps = []
-    for st in trace.steps:
-        param = st.param
-        if isinstance(param, tuple):
-            param = list(param)
-        steps.append(
-            {
-                "stage": st.stage,
-                "kind": st.kind,
-                "pair": list(st.pair),
-                "param": param,
-                "diag_after": st.diag_after,
-            }
-        )
-    return {"steps": steps, "stage_counts": list(trace.stage_counts)}
+    steps = [
+        {
+            "stage": st.stage,
+            "kind": st.kind,
+            "pair": st.pair,
+            "param": st.param,
+            "diag_after": st.diag_after,
+        }
+        for st in trace.steps
+    ]
+    return {"steps": steps, "stage_counts": trace.stage_counts}
 
 
 def run_synthesize(global_path, local_path, out_path, trace_path=None) -> int:

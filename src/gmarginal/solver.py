@@ -34,6 +34,7 @@ from .symplectic import (
     _bs_block,
     _sq_block,
     _local_normal_form,
+    _omega_gram,
     _subtract_omega,
     _symplectic_residual,
     mode_slice,
@@ -65,7 +66,13 @@ class JacobiTrace:
 
 @dataclass(frozen=True)
 class SynthesisStep:
-    """One scheduled transform and the diagonal values it leaves behind."""
+    """One scheduled transform and the diagonal values it leaves behind.
+
+    ``transfer`` is m_i - d_i for the step's first mode i, read before the
+    step: d is the previous step's ``diag_after``, or kappa before the first
+    step.  ``param`` is the beam-splitter angle (BS), the squeezing
+    parameter (SQ), or the target pair (m_i, t_n) of a general step (GEN).
+    """
 
     stage: int
     kind: str
@@ -195,6 +202,15 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     factors = [_sqrt_det(*W[s, s].ravel().tolist()) for s in map(mode_slice, range(1, n + 1))]
     pair_ids = _pair_index(n)
 
+    def trace(converged, off_max):
+        return JacobiTrace(
+            steps=steps,
+            sweeps=sweeps,
+            converged=converged,
+            initial_profit=initial_profit,
+            sweep_off_max=off_max,
+        )
+
     sweeps = 0
     pivoted = True
     try:
@@ -221,27 +237,14 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                     offs = _row_off_max(W, j)
             sweep_off_max.append(worst)
     except Exception as err:
-        err.trace = JacobiTrace(
-            steps=list(steps),
-            sweeps=sweeps,
-            converged=False,
-            initial_profit=initial_profit,
-            sweep_off_max=[*sweep_off_max, worst],
-        )
+        err.trace = trace(False, [*sweep_off_max, worst])
         raise
     # a sweep without a pivot has just checked every pair; rescan only when
     # the sweep cap stopped the loop
     converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
     d = W.diagonal()
     kappa = np.sort(0.5 * (d[0::2] + d[1::2]))
-    trace = JacobiTrace(
-        steps=steps,
-        sweeps=sweeps,
-        converged=converged,
-        initial_profit=initial_profit,
-        sweep_off_max=sweep_off_max,
-    )
-    return S, kappa, trace
+    return S, kappa, trace(converged, sweep_off_max)
 
 
 def synthesize(kappa, m):
@@ -254,10 +257,14 @@ def synthesize(kappa, m):
     Returns:
         (S, V, SynthesisTrace) with V = S diag(kappa pairs) S^T, the
         diagonal blocks of V equal to m_j * I in sorted slot order, and at
-        most n - 1 recorded two-mode transformations.
+        most n - 1 recorded two-mode transformations.  Each step records
+        its ``transfer`` m_i - d_i, taken before the step; the trace's
+        ``stage_counts`` are counted from the recorded steps.
 
-    Each transfer touches only the four rows and columns of its pair, so it
-    costs O(n), and the whole schedule of at most n - 1 transfers O(n^2).
+    The schedule decides each step as (stage, kind, i, j, param), and one
+    step function applies it.  Each transfer touches only the four rows and
+    columns of its pair, so it costs O(n), and the whole schedule of at most
+    n - 1 transfers O(n^2).
     Finalizing a mode and checking a pair's structure allow round-off of
     DEFAULT_TOL * (1 + max(kappa_n, m_n)).
 
@@ -293,10 +300,19 @@ def synthesize(kappa, m):
     S = np.eye(2 * n)
     d = kappa.copy()
     steps = []
-    stage_counts = [0, 0, 0, 0]
+    finalized = 0
     sum_gap_initial = float(np.sum(m) - np.sum(kappa))
 
-    def apply_step(stage, kind, i, j, param, transfer, t_i, t_j):
+    def trace():
+        stages = [st.stage for st in steps]
+        return SynthesisTrace(
+            steps=steps,
+            stage_counts=tuple(stages.count(s) for s in (1, 2, 3, 4)),
+            stage1_finalized=finalized,
+            sum_gap_initial=sum_gap_initial,
+        )
+
+    def apply_step(stage, kind, i, j, param):
         ids = _pair_ids(i, j)
         rows = W.take(ids, axis=0)
         (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
@@ -313,12 +329,13 @@ def synthesize(kappa, m):
                 f"pair ({i}, {j}) is correlated or anisotropic before its step "
                 f"(cross {cross:.3e}, anisotropy {iso:.3e})"
             )
+        transfer = float(m[i - 1] - d[i - 1])
         if kind == "BS":
             T4 = _bs_block(float(param))
         elif kind == "SQ":
             T4 = _sq_block(float(param))
         else:
-            T4 = pair_factor(di, dj, t_i, t_j)
+            T4 = pair_factor(di, dj, *param)
         P = _apply_pair(W, S, T4, ids, rows)
         d[i - 1] = 0.5 * (P[0, 0] + P[1, 1])
         d[j - 1] = 0.5 * (P[2, 2] + P[3, 3])
@@ -328,32 +345,22 @@ def synthesize(kappa, m):
                 kind=kind,
                 pair=(i, j),
                 param=param,
-                transfer=float(transfer),
+                transfer=transfer,
                 diag_after=d.tolist(),
             )
         )
-        stage_counts[stage - 1] += 1
 
-    finalized = 0
     try:
         # Stage 1: finalize low modes by borrowing from a donor among the first
         # n - 1 modes; the least donor index that still covers the target wins.
+        # A NaN gap fails every "<= atol" test, so it is never taken as closed.
         i = 1
         while i <= n - 1:
-            eps = m[i - 1] - d[i - 1]
-            if eps <= atol:
-                finalized += 1
-                i += 1
-                continue
-            donor = 0
-            for j in range(i + 1, n):
-                if d[j - 1] >= m[i - 1] - atol:
-                    donor = j
+            if not m[i - 1] - d[i - 1] <= atol:
+                donor = next((j for j in range(i + 1, n) if d[j - 1] >= m[i - 1] - atol), 0)
+                if donor == 0:
                     break
-            if donor == 0:
-                break
-            theta = bs_param(d[i - 1], d[donor - 1], m[i - 1])
-            apply_step(1, "BS", i, donor, theta, eps, m[i - 1], d[i - 1] + d[donor - 1] - m[i - 1])
+                apply_step(1, "BS", i, donor, bs_param(d[i - 1], d[donor - 1], m[i - 1]))
             finalized += 1
             i += 1
 
@@ -362,34 +369,25 @@ def synthesize(kappa, m):
         delta = float(np.sum(m) - np.sum(d))
         while i <= n - 1 and delta > atol:
             eps = m[i - 1] - d[i - 1]
-            if eps <= atol:
-                i += 1
-                continue
-            if delta < 2.0 * eps - atol:
-                break
-            mu = sq_param(d[i - 1], d[n - 1], eps)
-            apply_step(2, "SQ", i, n, mu, eps, m[i - 1], d[n - 1] + eps)
-            delta = float(np.sum(m) - np.sum(d))
+            if not eps <= atol:
+                if delta < 2.0 * eps - atol:
+                    break
+                apply_step(2, "SQ", i, n, sq_param(d[i - 1], d[n - 1], eps))
+                delta = float(np.sum(m) - np.sum(d))
             i += 1
 
         # Stage 3: one general transform absorbs whatever gap is left.
         if delta > atol:
             if i > n - 1:
                 raise NumericalError("no mode left to absorb the remaining sum gap")
-            eps = m[i - 1] - d[i - 1]
-            t_n = d[n - 1] + delta - eps
-            apply_step(3, "GEN", i, n, (float(m[i - 1]), float(t_n)), eps, m[i - 1], t_n)
+            t_n = d[n - 1] + delta - (m[i - 1] - d[i - 1])
+            apply_step(3, "GEN", i, n, (float(m[i - 1]), float(t_n)))
             i += 1
 
         # Stage 4: sum-preserving transfers against the last mode.
-        while i <= n - 1:
-            eps = m[i - 1] - d[i - 1]
-            if abs(eps) <= atol:
-                i += 1
-                continue
-            theta = bs_param(d[i - 1], d[n - 1], m[i - 1])
-            apply_step(4, "BS", i, n, theta, eps, m[i - 1], d[i - 1] + d[n - 1] - m[i - 1])
-            i += 1
+        for i in range(i, n):
+            if not abs(m[i - 1] - d[i - 1]) <= atol:
+                apply_step(4, "BS", i, n, bs_param(d[i - 1], d[n - 1], m[i - 1]))
 
         check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
         if float(np.max(np.abs(d - m))) > check_tol:
@@ -397,20 +395,9 @@ def synthesize(kappa, m):
                 f"schedule finished with diagonal {d.tolist()} instead of {m.tolist()}"
             )
     except Exception as err:
-        err.trace = SynthesisTrace(
-            steps=list(steps),
-            stage_counts=tuple(stage_counts),
-            stage1_finalized=finalized,
-            sum_gap_initial=sum_gap_initial,
-        )
+        err.trace = trace()
         raise
-    trace = SynthesisTrace(
-        steps=steps,
-        stage_counts=tuple(stage_counts),
-        stage1_finalized=finalized,
-        sum_gap_initial=sum_gap_initial,
-    )
-    return S, W, trace
+    return S, W, trace()
 
 
 def verify(S, kappa, m) -> VerifyReport:
@@ -420,7 +407,8 @@ def verify(S, kappa, m) -> VerifyReport:
     V = S diag(kappa pairs) S^T are isotropic with values matching m as a
     multiset, and that the symplectic spectrum of V is sorted kappa, each
     within VERIFY_TOL, absolute.  A singular or non-finite S fails the
-    check; it is not an error.  kappa must be positive and finite.
+    check; it is not an error, and a non-finite S reports NaN residuals.
+    kappa must be positive and finite.
 
     The spectrum is not recomputed: ``spectrum_residual`` is a certified
     upper bound on max_j |kappa'_j - kappa_j| for the spectrum kappa' of V.
@@ -441,6 +429,9 @@ def verify(S, kappa, m) -> VerifyReport:
         raise ValueError("shape mismatch between S and the parameter vectors")
     if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
         raise ValueError("global parameters must be positive finite reals")
+    if not np.all(np.isfinite(S)):
+        nan = float("nan")
+        return VerifyReport(nan, nan, nan, tol=VERIFY_TOL, ok=False)
     res_symp = _symplectic_residual(S)
     d = np.repeat(kappa, 2)
     V = (S * d) @ S.T
@@ -451,10 +442,7 @@ def verify(S, kappa, m) -> VerifyReport:
     vals = 0.5 * (d0 + d1)
     iso_max = float(np.max(np.abs([d0 - vals, d1 - vals, off])))
     res_diag = max(iso_max, float(np.max(np.abs(np.sort(vals) - m))))
-    # S^T Omega S = M - M^T for M = S[0::2]^T S[1::2], which costs half a
-    # full product; E comes out exactly antisymmetric
-    M = S[0::2].T @ S[1::2]
-    E = _subtract_omega(M - M.T)
+    E = _subtract_omega(_omega_gram(S.T))
     r = np.sqrt(d)
     E *= r[:, None]
     E *= r

@@ -144,8 +144,8 @@ def dominates(kappa, m) -> DominanceCertificate:
     m = np.sort(np.asarray(m, dtype=float))
     if kappa.ndim != 1 or kappa.shape != m.shape or kappa.size == 0:
         raise ValueError("expected two equal-length, nonempty vectors")
-    if np.any(kappa <= 0.0) or np.any(m <= 0.0):
-        raise ValueError("spectral parameters must be positive")
+    if not np.all(np.isfinite(kappa) & np.isfinite(m) & (kappa > 0.0) & (m > 0.0)):
+        raise ValueError("spectral parameters must be positive finite reals")
     partial = np.cumsum(m) - np.cumsum(kappa)
     tail = float((kappa[-1] - kappa[:-1].sum()) - (m[-1] - m[:-1].sum()))
     compatible = bool(np.all(partial >= 0.0) and tail >= 0.0)
@@ -184,8 +184,8 @@ def thermal_eigenvalues(params, count: int):
     p = np.asarray(params, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("expected a nonempty vector of local parameters")
-    if np.any(p < 1.0):
-        raise ValueError("local thermal parameters must be at least 1")
+    if not np.all(np.isfinite(p) & (p >= 1.0)):
+        raise ValueError("local thermal parameters must be positive finite reals, at least 1")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("count must be a positive integer")
     n = p.size

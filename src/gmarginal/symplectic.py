@@ -82,9 +82,19 @@ def _subtract_omega(R: np.ndarray) -> np.ndarray:
     return R
 
 
+def _omega_gram(X: np.ndarray) -> np.ndarray:
+    """X Omega X^T as K - K^T with K = X[:, 0::2] X[:, 1::2]^T.
+
+    That is half the flops of a full product, and the result is exactly
+    antisymmetric and C-contiguous.
+    """
+    K = X[:, 0::2] @ X[:, 1::2].T
+    return K - K.T
+
+
 def _symplectic_residual(S: np.ndarray) -> float:
-    """max |S Omega S^T - Omega|, with Omega S^T formed by ``_omega_rows``."""
-    return float(np.max(np.abs(_subtract_omega(S @ _omega_rows(S.T)))))
+    """max |S Omega S^T - Omega|, with S Omega S^T formed by ``_omega_gram``."""
+    return float(np.max(np.abs(_subtract_omega(_omega_gram(S)))))
 
 
 def _factor_gate(res_fact: float, res_symp: float, scale: float) -> None:

@@ -326,7 +326,9 @@ def sq_param(a, b, eps) -> float:
     """Squeezer parameter raising the pair (a, b) to (a + eps, b + eps)."""
     for v in (a, b):
         if not np.isfinite(v) or v <= 0.0:
-            raise ValueError("diagonal values must be positive reals")
+            raise ValueError("diagonal values must be positive finite reals")
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite, and the diagonal values positive finite reals")
     if eps < -COUPLING_TOL * (1.0 + a + b):
         raise InfeasibleRedistributionError("squeezing can only raise the pair, eps must be >= 0")
     eps = max(float(eps), 0.0)

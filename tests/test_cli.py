@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gmarginal as gm
-from gmarginal.cli import main
+from gmarginal.cli import entry, main
 
 SEVEN_KAPPA = [1.0, 2.0, 3.0, 4.0, 5.0, 12.0, 18.0]
 SEVEN_M = [6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0]
@@ -312,6 +312,19 @@ def test_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["compatible"] is True
+
+
+def test_entry_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys):
+    """The console-script function reads sys.argv and exits with main()'s code."""
+    g = write_vector(tmp_path / "g.json", SEVEN_KAPPA)
+    l = write_vector(tmp_path / "l.json", SEVEN_M)
+    # swapping the two vectors breaks the first partial sum
+    for argv, code in ((["check", g, l], 0), (["check", l, g], 1)):
+        monkeypatch.setattr(sys, "argv", ["gmarginal", *argv])
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == code
+        assert main(argv) == code
 
 
 def test_cli_import_pulls_in_no_scipy():

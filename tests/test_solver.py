@@ -405,6 +405,25 @@ class TestSynthesizeSevenModes:
         assert [step.diag_after for step in trace.steps] == expected
         assert all(type(x) is float for step in trace.steps for x in step.diag_after)
 
+    def test_transfer_is_the_gap_before_the_step(self):
+        """transfer is m_i - d_i bit for bit, with d the previous step's
+        diag_after, or kappa before the first step."""
+        cases = [(SEVEN_KAPPA, SEVEN_M)]
+        for trial in range(30):
+            V0, _, _ = gm.random_state(2 + trial % 8, seed=5200 + trial)
+            cases.append((gm.symplectic_spectrum(V0), np.sort(local_params(V0))))
+        kinds = set()
+        for kappa, m in cases:
+            _, _, trace = gm.synthesize(kappa, m)
+            before = [float(x) for x in kappa]
+            for step in trace.steps:
+                i = step.pair[0]
+                assert type(step.transfer) is float
+                assert step.transfer == float(m[i - 1]) - before[i - 1]
+                before = step.diag_after
+                kinds.add(step.kind)
+        assert kinds == {"BS", "SQ", "GEN"}
+
     def test_output_does_not_depend_on_eigenvector_phases(self, monkeypatch):
         """The stage-3 factor is closed-form, so S and V are fixed by (kappa, m)."""
         S0, V0, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
@@ -769,6 +788,18 @@ class TestVerify:
         with_nan[3, 4] = np.nan
         for T in (singular, with_nan, np.zeros_like(S)):
             assert not gm.verify(T, SEVEN_KAPPA, SEVEN_M).ok
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_factor_fails_without_warning(self, value):
+        # pytest turns warnings into errors, so an inf reaching the products
+        # would raise here
+        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+        S[0, 1] = value
+        report = gm.verify(S, SEVEN_KAPPA, SEVEN_M)
+        assert not report.ok
+        assert math.isnan(report.symplectic_residual)
+        assert math.isnan(report.diagonal_residual)
+        assert math.isnan(report.spectrum_residual)
 
     @pytest.mark.parametrize("kappa", [(0.0, 3.0), (-1.0, 3.0), (np.nan, 3.0), (1.0, np.inf)])
     def test_rejects_nonpositive_or_non_finite_kappa(self, kappa):

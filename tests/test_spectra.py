@@ -244,6 +244,15 @@ class TestDominates:
         with pytest.raises(ValueError):
             gm.dominates((1.0, 2.0), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "kappa, m",
+        [((1.0, np.nan), (2.0, 2.0)), ((1.0, 3.0), (2.0, np.nan)),
+         ((1.0, np.inf), (2.0, 3.0)), ((1.0, 3.0), (2.0, np.inf))],
+    )
+    def test_rejects_non_finite(self, kappa, m):
+        with pytest.raises(ValueError, match="positive finite"):
+            gm.dominates(kappa, m)
+
     def test_round_off_allowance(self):
         """One allowance, 1e-9 (1 + sum m), for synthesize and the CLI verdict."""
         kappa = (1.0, 3.0)
@@ -356,3 +365,8 @@ class TestThermalEigenvalues:
             gm.thermal_eigenvalues((2.0,), 0)
         with pytest.raises(ValueError):
             gm.thermal_eigenvalues((), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="positive finite"):
+            gm.thermal_eigenvalues((2.0, value), 3)

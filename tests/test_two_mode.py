@@ -267,6 +267,11 @@ class TestRedistributionParams:
         with pytest.raises(InfeasibleRedistributionError):
             gm.sq_param(1.0, 2.0, -0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_sq_param_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="positive finite"):
+            gm.sq_param(1.0, 2.0, eps)
+
 
 class TestDiagonalizeBalanced:
     def test_bs_branch_symmetric(self):
