@@ -23,7 +23,7 @@ from .exceptions import (
 )
 from .solver import synthesize, verify
 from .spectra import _above_vacuum, _within_slack, dominates, symplectic_spectrum, williamson
-from .symplectic import local_parameters, random_state, validate_covariance
+from .symplectic import _positive_finite, local_parameters, random_state, validate_covariance
 from .two_mode import reconstruct_two_mode
 
 
@@ -62,6 +62,23 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _numbers(path, values) -> np.ndarray:
+    """The list of JSON numbers ``values`` as a float array.
+
+    Raises InputError naming path for a bool, a non-number, an integer too
+    large for a float, or a non-finite value (JSON's NaN and Infinity).
+    """
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise InputError(f"{path}: entries must be finite reals")
+    try:
+        x = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise InputError(f"{path}: an entry is too large for a float") from None
+    if not np.isfinite(x).all():
+        raise InputError(f"{path}: entries must be finite reals")
+    return x
+
+
 def _load_vector(path) -> np.ndarray:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "values" not in doc:
@@ -69,12 +86,11 @@ def _load_vector(path) -> np.ndarray:
     values = doc["values"]
     if not isinstance(values, list) or not values:
         raise InputError(f"{path}: 'values' must be a nonempty list")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v) or v <= 0:
-            raise InputError(f"{path}: entries must be positive finite reals")
-        out.append(float(v))
-    return np.asarray(out)
+    x = _numbers(path, values)
+    try:
+        return _positive_finite(x)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -91,10 +107,7 @@ def _load_matrix(path) -> np.ndarray:
     data = doc["data"]
     if not isinstance(data, list) or len(data) != 4 * n * n:
         raise InputError(f"{path}: 'data' must hold exactly 4*n^2 numbers")
-    for v in data:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-            raise InputError(f"{path}: matrix entries must be finite reals")
-    return validate_covariance(np.asarray(data, dtype=float).reshape(2 * n, 2 * n))
+    return validate_covariance(_numbers(path, data).reshape(2 * n, 2 * n))
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
@@ -129,8 +142,6 @@ def _certificate_doc(cert) -> dict:
 def run_check(global_path, local_path) -> int:
     kappa = _load_vector(global_path)
     m = _load_vector(local_path)
-    if kappa.size != m.size:
-        raise InputError("global and local vectors must have the same length")
     cert = dominates(kappa, m)
     physical = _above_vacuum(cert.kappa_sorted[0])
     doc = _certificate_doc(cert)
@@ -156,8 +167,6 @@ def _trace_doc(trace) -> dict:
 def run_synthesize(global_path, local_path, out_path, trace_path=None) -> int:
     kappa = np.sort(_load_vector(global_path))
     m = np.sort(_load_vector(local_path))
-    if kappa.size != m.size:
-        raise InputError("global and local vectors must have the same length")
     S, V, trace = synthesize(kappa, m)
     report = verify(S, kappa, m)
     _write(out_path, {"V": _matrix_doc(V), "S": _matrix_doc(S)})
@@ -196,8 +205,6 @@ def run_williamson(matrix_path, out_path=None) -> int:
 
 
 def run_reconstruct2(m1, m2, k1, k2, out_path=None) -> int:
-    if not (m1 <= m2 and k1 <= k2):
-        raise InputError("expected sorted pairs: --m1 <= --m2 and --k1 <= --k2")
     V = reconstruct_two_mode(m1, m2, k1, k2)
     _emit(_matrix_doc(V), out_path)
     return 0

@@ -35,6 +35,7 @@ from .symplectic import (
     _sq_block,
     _local_normal_form,
     _omega_gram,
+    _positive_finite,
     _subtract_omega,
     _symplectic_residual,
     mode_slice,
@@ -269,6 +270,8 @@ def synthesize(kappa, m):
     DEFAULT_TOL * (1 + max(kappa_n, m_n)).
 
     Raises:
+        ValueError: ``dominates`` rejects the vectors (shape, or an entry
+            that is not a positive finite real), or one is not sorted.
         UnphysicalSpectrumError: kappa[0] < 1.
         IncompatibleSpectraError: the dominance certificate has a negative
             slack beyond tolerance.
@@ -276,19 +279,16 @@ def synthesize(kappa, m):
             exception raised after the inputs are validated carries the
             steps done before it as ``err.trace``, a SynthesisTrace.
     """
+    cert = dominates(kappa, m)
     kappa = np.asarray(kappa, dtype=float)
     m = np.asarray(m, dtype=float)
-    if kappa.ndim != 1 or kappa.shape != m.shape or kappa.size == 0:
-        raise ValueError("expected two equal-length, nonempty parameter vectors")
-    if not np.all(np.isfinite(kappa) & np.isfinite(m) & (kappa > 0.0) & (m > 0.0)):
-        raise ValueError("spectral parameters must be positive finite reals")
     if np.any(np.diff(kappa) < 0.0) or np.any(np.diff(m) < 0.0):
         raise ValueError("parameter vectors must be sorted nondecreasing")
     if not _above_vacuum(kappa[0]):
         raise UnphysicalSpectrumError(
             f"smallest global parameter {kappa[0]} is below the vacuum value 1"
         )
-    worst, ok = _within_slack(dominates(kappa, m))
+    worst, ok = _within_slack(cert)
     if not ok:
         raise IncompatibleSpectraError(
             f"local parameters are not dominated by the global ones (worst slack {worst:.3e})"
@@ -422,13 +422,13 @@ def verify(S, kappa, m) -> VerifyReport:
     factorization runs.
     """
     S = np.asarray(S, dtype=float)
-    kappa = np.sort(np.asarray(kappa, dtype=float))
-    m = np.sort(np.asarray(m, dtype=float))
+    kappa = np.asarray(kappa, dtype=float)
+    m = np.asarray(m, dtype=float)
     n = kappa.size
-    if S.shape != (2 * n, 2 * n) or m.size != n:
+    if kappa.ndim != 1 or m.shape != kappa.shape or S.shape != (2 * n, 2 * n):
         raise ValueError("shape mismatch between S and the parameter vectors")
-    if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
-        raise ValueError("global parameters must be positive finite reals")
+    kappa = np.sort(_positive_finite(kappa))
+    m = np.sort(m)
     if not np.all(np.isfinite(S)):
         nan = float("nan")
         return VerifyReport(nan, nan, nan, tol=VERIFY_TOL, ok=False)

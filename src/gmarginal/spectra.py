@@ -13,6 +13,7 @@ from .symplectic import (
     COUPLING_TOL,
     _factor_gate,
     _omega_rows,
+    _positive_finite,
     _symplectic_residual,
     validate_covariance,
 )
@@ -135,17 +136,19 @@ def check_physical(V: np.ndarray, tol: float = COUPLING_TOL) -> bool:
 def dominates(kappa, m) -> DominanceCertificate:
     """Test whether local parameters m are reachable from global parameters kappa.
 
-    Both vectors are sorted internally.  Reachability requires every partial
-    sum of m to weakly exceed the matching partial sum of kappa, together
-    with one tail condition bounding how far the largest entry of m may
-    stand out; the certificate records all slacks.
+    kappa and m must be equal-length, nonempty vectors of positive finite
+    reals; ``synthesize`` and the CLI leave these two checks to this
+    function.  Both vectors are sorted internally.  Reachability requires
+    every partial sum of m to weakly exceed the matching partial sum of
+    kappa, together with one tail condition bounding how far the largest
+    entry of m may stand out; the certificate records all slacks.
     """
-    kappa = np.sort(np.asarray(kappa, dtype=float))
-    m = np.sort(np.asarray(m, dtype=float))
+    kappa = np.asarray(kappa, dtype=float)
+    m = np.asarray(m, dtype=float)
     if kappa.ndim != 1 or kappa.shape != m.shape or kappa.size == 0:
         raise ValueError("expected two equal-length, nonempty vectors")
-    if not np.all(np.isfinite(kappa) & np.isfinite(m) & (kappa > 0.0) & (m > 0.0)):
-        raise ValueError("spectral parameters must be positive finite reals")
+    kappa = np.sort(_positive_finite(kappa))
+    m = np.sort(_positive_finite(m))
     partial = np.cumsum(m) - np.cumsum(kappa)
     tail = float((kappa[-1] - kappa[:-1].sum()) - (m[-1] - m[:-1].sum()))
     compatible = bool(np.all(partial >= 0.0) and tail >= 0.0)

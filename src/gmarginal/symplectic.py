@@ -54,7 +54,22 @@ def is_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("expected a square matrix")
     if S.shape[0] == 0 or S.shape[0] % 2 != 0:
         raise ValueError("expected an even, nonzero dimension")
-    return _symplectic_residual(S) <= tol
+    # a non-finite entry would make the product warn; it is not symplectic
+    return bool(np.isfinite(S).all()) and _symplectic_residual(S) <= tol
+
+
+def _positive_finite(values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless every entry lies in (0, inf).
+
+    The package's one rule for a spectral value (a symplectic eigenvalue, a
+    local parameter, a diagonal value of a pair).  The test runs over
+    Python floats, which is cheaper than NumPy ufuncs on the two-mode
+    kernels' three or four scalars; a NaN fails it.
+    """
+    x = np.asarray(values, dtype=float)
+    if not all(0.0 < v < math.inf for v in x.ravel().tolist()):
+        raise ValueError("spectral parameters must be positive finite reals")
+    return x
 
 
 def _omega_rows(M: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .symplectic import (
     COUPLING_TOL,
     _bs_block,
     _factor_gate,
+    _positive_finite,
     _spd_roots,
     symplectic_inverse,
     validate_covariance,
@@ -263,9 +264,7 @@ def solve_couplings(m1, m2, kappa1, kappa2):
         IncompatibleSpectraError: no real couplings exist, i.e.
             m1 * m2 - |P| < kappa1 * kappa2 beyond COUPLING_TOL * m1 * m2.
     """
-    for v in (m1, m2, kappa1, kappa2):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError("spectral parameters must be positive reals")
+    _positive_finite((m1, m2, kappa1, kappa2))
     P = 0.5 * ((kappa1**2 + kappa2**2) - (m1**2 + m2**2))
     g = m1 * m2
     if g - abs(P) < kappa1 * kappa2 - COUPLING_TOL * g:
@@ -290,8 +289,10 @@ def solve_couplings(m1, m2, kappa1, kappa2):
 def reconstruct_two_mode(m1, m2, kappa1, kappa2) -> np.ndarray:
     """Build the standard-form matrix with locals (m1, m2) and globals (kappa1, kappa2).
 
-    Inputs must be sorted within each pair (m1 <= m2, kappa1 <= kappa2).
+    Inputs must be positive finite reals, sorted within each pair
+    (m1 <= m2, kappa1 <= kappa2).
     """
+    _positive_finite((m1, m2, kappa1, kappa2))
     if m1 > m2 or kappa1 > kappa2:
         raise ValueError("expected sorted pairs: m1 <= m2 and kappa1 <= kappa2")
     kx, kp = solve_couplings(m1, m2, kappa1, kappa2)
@@ -307,9 +308,7 @@ def bs_param(a, b, target) -> float:
     The target must lie between a and b (the congruence preserves the sum,
     so the other value is forced).
     """
-    for v in (a, b, target):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError("diagonal values must be positive reals")
+    _positive_finite((a, b, target))
     lo, hi = min(a, b), max(a, b)
     slack = COUPLING_TOL * (1.0 + hi)
     if target < lo - slack or target > hi + slack:
@@ -324,9 +323,7 @@ def bs_param(a, b, target) -> float:
 
 def sq_param(a, b, eps) -> float:
     """Squeezer parameter raising the pair (a, b) to (a + eps, b + eps)."""
-    for v in (a, b):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError("diagonal values must be positive finite reals")
+    _positive_finite((a, b))
     if not np.isfinite(eps):
         raise ValueError("eps must be finite, and the diagonal values positive finite reals")
     if eps < -COUPLING_TOL * (1.0 + a + b):
@@ -380,9 +377,7 @@ def pair_factor(a, b, t_a, t_b) -> np.ndarray:
     reconstructed standard form, so it depends on (a, b, t_a, t_b) alone,
     composed with mode swaps so that values land on the requested slots.
     """
-    for v in (a, b, t_a, t_b):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError("diagonal values must be positive reals")
+    _positive_finite((a, b, t_a, t_b))
     s_lo, s_hi = sorted((float(a), float(b)))
     t_lo, t_hi = sorted((float(t_a), float(t_b)))
     slack = COUPLING_TOL * (1.0 + s_hi + t_hi)

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, JSON shapes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import gmarginal as gm
-from gmarginal.cli import entry, main
+from gmarginal import InfeasibleRedistributionError, NumericalError
+from gmarginal.cli import dumps, entry, main
 
 SEVEN_KAPPA = [1.0, 2.0, 3.0, 4.0, 5.0, 12.0, 18.0]
 SEVEN_M = [6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0]
@@ -286,6 +288,95 @@ class TestRandomCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == err
+
+
+HUGE = "9" * 400  # a JSON integer too large for a float
+
+
+def run(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestInputErrors:
+    """Each rejected input exits with its code and prints one stderr line."""
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('{"vals": [1]}', "expected an object with a 'values' field"),
+            ('{"values": []}', "'values' must be a nonempty list"),
+            ('{"values": [1, true]}', "entries must be finite reals"),
+            ('{"values": [1, Infinity]}', "entries must be finite reals"),
+            ('{"values": [1, 0]}', "spectral parameters must be positive finite reals"),
+            ('{"values": [1, %s]}' % HUGE, "an entry is too large for a float"),
+        ],
+        ids=["no-values", "empty", "bool", "infinity", "zero", "huge-integer"],
+    )
+    def test_vector_file(self, tmp_path, capsys, text, err):
+        g = write_vector(tmp_path / "g.json", [1.0, 2.0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(capsys, ["check", g, str(bad)]) == (2, "", f"error: {bad}: {err}\n")
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('{"data": [1, 0, 0, 1]}', "expected an object with 'n' and 'data' fields"),
+            ('{"n": 1}', "expected an object with 'n' and 'data' fields"),
+            ('{"n": true, "data": [1]}', "'n' must be a positive integer"),
+            ('{"n": 0, "data": []}', "'n' must be a positive integer"),
+            ('{"n": 1, "data": [NaN, 0, 0, 1]}', "entries must be finite reals"),
+            ('{"n": 1, "data": [%s, 0, 0, 1]}' % HUGE, "an entry is too large for a float"),
+        ],
+        ids=["no-n", "no-data", "n-true", "n-zero", "nan", "huge-integer"],
+    )
+    def test_matrix_file(self, tmp_path, capsys, text, err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(capsys, ["decompose", str(bad)]) == (2, "", f"error: {bad}: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["check", "g.json", "l3.json"], "expected two equal-length, nonempty vectors"),
+            (["synthesize", "g.json", "l3.json", "out.json"], "expected two equal-length, nonempty vectors"),
+            (["reconstruct2", "--m1", "3", "--m2", "2", "--k1", "1", "--k2", "3"],
+             "expected sorted pairs: m1 <= m2 and kappa1 <= kappa2"),
+            (["reconstruct2", "--m1", "nan", "--m2", "2", "--k1", "1", "--k2", "1.5"],
+             "spectral parameters must be positive finite reals"),
+        ],
+        ids=["check-lengths", "synthesize-lengths", "reconstruct2-unsorted", "reconstruct2-nan"],
+    )
+    def test_rules_left_to_the_library(self, tmp_path, capsys, monkeypatch, argv, err):
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path / "g.json", [1.0, 2.0])
+        write_vector(tmp_path / "l3.json", [1.0, 1.0, 1.0])
+        assert run(capsys, argv) == (2, "", f"error: {err}\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        g = write_vector(tmp_path / "g.json", [1.0, 2.0])
+        out = tmp_path / "absent" / "out.json"
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'"
+        assert run(capsys, ["synthesize", g, g, str(out)]) == (2, "", f"error: cannot write {out}: {reason}\n")
+
+    @pytest.mark.parametrize("exc", [NumericalError, InfeasibleRedistributionError])
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, exc):
+        def failing_synthesize(kappa, m):
+            raise exc("injected")
+
+        monkeypatch.setattr("gmarginal.cli.synthesize", failing_synthesize)
+        g = write_vector(tmp_path / "g.json", [1.0, 2.0])
+        out = tmp_path / "out.json"
+        assert run(capsys, ["synthesize", g, g, str(out)]) == (3, "", "numerical failure: injected\n")
+        assert not out.exists()
+
+    def test_dumps_rejects_non_finite(self):
+        with pytest.raises(NumericalError, match="^cannot serialize a non-finite number$"):
+            dumps({"x": [1.0, float("nan")]})
 
 
 def child_env():

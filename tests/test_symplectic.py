@@ -37,6 +37,15 @@ def test_is_symplectic_basics():
         gm.is_symplectic(np.ones((2, 4)))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_is_symplectic_non_finite_is_false_without_warning(value):
+    # pytest turns warnings into errors, so an inf reaching the product
+    # would raise here
+    S = np.eye(4)
+    S[0, 1] = value
+    assert gm.is_symplectic(S) is False
+
+
 def test_symplectic_inverse_matches_numpy():
     rng = np.random.default_rng(7)
     for n in (1, 2, 4):
