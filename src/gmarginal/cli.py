@@ -60,6 +60,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer past Python's int-string limit
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _numbers(path, values) -> np.ndarray:

@@ -298,10 +298,12 @@ def synthesize(kappa, m):
     atol = DEFAULT_TOL * (1.0 + float(max(kappa[-1], m[-1])))
     W = np.diag(np.repeat(kappa, 2))
     S = np.eye(2 * n)
-    d = kappa.copy()
+    m_sum = np.sum(m)
+    sum_gap_initial = float(m_sum - np.sum(kappa))
+    # the schedule's bookkeeping runs on Python floats; the sums stay NumPy's
+    d, m = kappa.tolist(), m.tolist()
     steps = []
     finalized = 0
-    sum_gap_initial = float(np.sum(m) - np.sum(kappa))
 
     def trace():
         stages = [st.stage for st in steps]
@@ -329,16 +331,16 @@ def synthesize(kappa, m):
                 f"pair ({i}, {j}) is correlated or anisotropic before its step "
                 f"(cross {cross:.3e}, anisotropy {iso:.3e})"
             )
-        transfer = float(m[i - 1] - d[i - 1])
+        transfer = m[i - 1] - d[i - 1]
         if kind == "BS":
             T4 = _bs_block(float(param))
         elif kind == "SQ":
             T4 = _sq_block(float(param))
         else:
             T4 = pair_factor(di, dj, *param)
-        P = _apply_pair(W, S, T4, ids, rows)
-        d[i - 1] = 0.5 * (P[0, 0] + P[1, 1])
-        d[j - 1] = 0.5 * (P[2, 2] + P[3, 3])
+        p00, p11, p22, p33 = _apply_pair(W, S, T4, ids, rows).diagonal().tolist()
+        d[i - 1] = 0.5 * (p00 + p11)
+        d[j - 1] = 0.5 * (p22 + p33)
         steps.append(
             SynthesisStep(
                 stage=stage,
@@ -346,7 +348,7 @@ def synthesize(kappa, m):
                 pair=(i, j),
                 param=param,
                 transfer=transfer,
-                diag_after=d.tolist(),
+                diag_after=d.copy(),
             )
         )
 
@@ -357,7 +359,8 @@ def synthesize(kappa, m):
         i = 1
         while i <= n - 1:
             if not m[i - 1] - d[i - 1] <= atol:
-                donor = next((j for j in range(i + 1, n) if d[j - 1] >= m[i - 1] - atol), 0)
+                need = m[i - 1] - atol
+                donor = next((j for j in range(i + 1, n) if d[j - 1] >= need), 0)
                 if donor == 0:
                     break
                 apply_step(1, "BS", i, donor, bs_param(d[i - 1], d[donor - 1], m[i - 1]))
@@ -366,14 +369,14 @@ def synthesize(kappa, m):
 
         # Stage 2: pair squeezes with the last mode while the remaining sum gap
         # covers twice the mode's deficit.
-        delta = float(np.sum(m) - np.sum(d))
+        delta = float(m_sum - np.sum(d))
         while i <= n - 1 and delta > atol:
             eps = m[i - 1] - d[i - 1]
             if not eps <= atol:
                 if delta < 2.0 * eps - atol:
                     break
                 apply_step(2, "SQ", i, n, sq_param(d[i - 1], d[n - 1], eps))
-                delta = float(np.sum(m) - np.sum(d))
+                delta = float(m_sum - np.sum(d))
             i += 1
 
         # Stage 3: one general transform absorbs whatever gap is left.
@@ -381,7 +384,7 @@ def synthesize(kappa, m):
             if i > n - 1:
                 raise NumericalError("no mode left to absorb the remaining sum gap")
             t_n = d[n - 1] + delta - (m[i - 1] - d[i - 1])
-            apply_step(3, "GEN", i, n, (float(m[i - 1]), float(t_n)))
+            apply_step(3, "GEN", i, n, (m[i - 1], t_n))
             i += 1
 
         # Stage 4: sum-preserving transfers against the last mode.
@@ -390,10 +393,8 @@ def synthesize(kappa, m):
                 apply_step(4, "BS", i, n, bs_param(d[i - 1], d[n - 1], m[i - 1]))
 
         check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
-        if float(np.max(np.abs(d - m))) > check_tol:
-            raise NumericalError(
-                f"schedule finished with diagonal {d.tolist()} instead of {m.tolist()}"
-            )
+        if float(np.max(np.abs(np.subtract(d, m)))) > check_tol:
+            raise NumericalError(f"schedule finished with diagonal {d} instead of {m}")
     except Exception as err:
         err.trace = trace()
         raise

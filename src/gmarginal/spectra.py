@@ -4,6 +4,7 @@ tests, thermal eigenvalues."""
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .exceptions import InvalidCovarianceError, NumericalError
 from .symplectic import (
     COUPLING_TOL,
+    FACTOR_TOL,
     _factor_gate,
     _omega_rows,
     _positive_finite,
@@ -83,34 +85,84 @@ def symplectic_spectrum(V: np.ndarray) -> np.ndarray:
 def williamson(V: np.ndarray) -> WilliamsonFactorization:
     """Factor V as S diag(kappa pairs) S^T with S symplectic and kappa sorted.
 
-    Uses the Hermitian matrix i * A, A = L^T Omega L for the Cholesky
-    factor V = L L^T, as ``symplectic_spectrum`` does.  An eigenvector
-    u = x + i y of i * A with eigenvalue kappa > 0 satisfies A x = kappa y
-    and A y = -kappa x, and |x| = |y| = 1/sqrt(2) with x orthogonal to y,
-    because u is orthogonal to its conjugate (an eigenvector for -kappa).
-    So the columns (sqrt(2) y, sqrt(2) x) of each positive eigenvector form
-    the orthogonal basis O with O^T A O the direct sum of
-    [[0, kappa], [-kappa, 0]]: the handedness is right by construction
-    (entry (a, b) of each block is +kappa).  ``eigh`` returns the
-    eigenvalues ascending, so kappa comes out sorted, tied kappa included.
+    Works on A = L^T Omega L of the Cholesky factor V = L L^T, as
+    ``symplectic_spectrum`` does, in real arithmetic but for small blocks:
+
+    1. ``eigh`` of A^T A = -A^2 (eigenvalues kappa_j^2, each twice) gives an
+       orthogonal O, and N = O^T A O is block diagonal over the clusters of
+       tied kappa (gaps at most FACTOR_TOL * kappa_n) up to round-off.
+    2. Each cluster's 2p x 2p block B of N gets an exact normal form: the
+       columns (sqrt(2) Im u, sqrt(2) Re u) of each eigenvector u of i B
+       with eigenvalue kappa > 0 span a block [[0, kappa], [-kappa, 0]]
+       (one stacked ``eigh`` per cluster size).  kappa_j is read from that
+       block of N, not from the squared eigenvalues, which lose relative
+       accuracy on small kappa.
+    3. O <- O (I + X) removes the blocks E_ij of N that couple two clusters
+       to first order: kappa_i J X_ij - X_ij kappa_j J = -E_ij with
+       J = [[0, 1], [-1, 0]], solved by dividing the part of E_ij that
+       commutes with J by kappa_i - kappa_j and the part that anticommutes
+       with it by kappa_i + kappa_j.
 
     S = L O D^(-1/2) then gives S D S^T = L L^T = V, and it is symplectic
     because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
     """
     V, L, A = _chol_form(V)
-    n = V.shape[0] // 2
-    w, U = np.linalg.eigh(1j * A)
-    kappa = w[n:].copy()
-    if kappa[0] <= 0.0:
-        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
-    O = np.empty((2 * n, 2 * n))
-    O[:, 0::2] = U[:, n:].imag
-    O[:, 1::2] = U[:, n:].real
-    d = np.repeat(kappa, 2)
-    S = L @ (O * np.sqrt(2.0 / d))
-    res_fact = float(np.max(np.abs((S * d) @ S.T - V)))
+    P, kappa = _normal_basis(A)
+    F = L @ P.T  # S D^(1/2), so S D S^T = F F^T, a symmetric rank-k product
+    S = F * (1.0 / np.sqrt(np.repeat(kappa, 2)))
+    res_fact = float(np.max(np.abs(F @ F.T - V)))
     _factor_gate(res_fact, _symplectic_residual(S), 1.0 + float(np.max(np.abs(V))))
     return WilliamsonFactorization(S=S, kappa=kappa)
+
+
+def _normal_basis(A: np.ndarray):
+    """(P, kappa): P = O^T for the orthogonal O of ``williamson`` and kappa sorted.
+
+    O^T A O is the direct sum of kappa_j J to first order in the
+    round-off of ``eigh``; the steps are those of ``williamson``.  P's rows
+    are O's columns, so a cluster's basis vectors are a block of rows.
+    """
+    n = A.shape[0] // 2
+    w, O = np.linalg.eigh(A.T @ A)
+    P = O.T
+    G = P @ A  # O^T A
+    k_est = np.sqrt(np.abs(w[1::2]))
+    gap = np.diff(k_est) > FACTOR_TOL * k_est[-1]
+    label = np.concatenate(([0], np.cumsum(gap)))
+    starts = np.flatnonzero(np.concatenate(([True], gap)))
+    sizes = np.diff(np.append(starts, n))
+    for p in set(sizes.tolist()):
+        idx = 2 * starts[sizes == p][:, None] + np.arange(2 * p)
+        Pc, Gc = P[idx], G[idx]
+        B = Gc @ Pc.transpose(0, 2, 1)
+        U = np.linalg.eigh(0.5j * (B - B.transpose(0, 2, 1)))[1][:, :, p:]
+        Qt = np.empty(B.shape)  # Q^T: rows (sqrt(2) Im u, sqrt(2) Re u)
+        Qt[:, 0::2] = U.imag.transpose(0, 2, 1)
+        Qt[:, 1::2] = U.real.transpose(0, 2, 1)
+        Qt *= math.sqrt(2.0)
+        P[idx] = Qt @ Pc
+        G[idx] = Qt @ Gc
+    N = G @ P.T
+    del G  # each 2n x 2n buffer freed early keeps the peak memory down
+    N -= N.T
+    N *= 0.5
+    kappa = N.diagonal(1)[0::2].copy()
+    if not np.min(kappa) > 0.0:
+        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
+    # X = Y - Y^T: block (i, j) of Y is J E_ij / 2 (1/(k_i - k_j) + 1/(k_i + k_j))
+    # = J E_ij k_i / (k_i^2 - k_j^2) between clusters and 0 inside one, and
+    # Omega N holds every J E_ij
+    k = kappa[:, None]
+    u = np.divide(k, (k - kappa) * (k + kappa), out=np.zeros((n, n)), where=label[:, None] != label)
+    Y = _omega_rows(N)
+    del N
+    Y.reshape(n, 2, 2 * n)[...] *= np.repeat(u, 2, axis=1)[:, None, :]
+    O += O @ (Y - Y.T)  # P = O^T follows
+    if np.any(np.diff(kappa) < 0.0):  # tied kappa can come out an ulp out of order
+        order = np.argsort(kappa, kind="stable")
+        kappa = kappa[order]
+        P = P[(2 * order[:, None] + np.arange(2)).ravel()]
+    return P, kappa
 
 
 def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:

@@ -26,7 +26,8 @@ DEFAULT_TOL = 1e-10
 COUPLING_TOL = 1e-9
 #: ``verify``'s bound, absolute, and the floor of ``synthesize``'s final diagonal check.
 VERIFY_TOL = 1e-8
-#: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|.
+#: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|;
+#: also ``williamson``'s cluster threshold for tied kappa, relative to kappa_n.
 FACTOR_TOL = 1e-6
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

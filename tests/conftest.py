@@ -157,8 +157,14 @@ def bloch_messiah_state(rng, n, r_max=0.5, kappa_range=(1.0, 3.0)):
     (V, kappa) with kappa the sorted generator parameters.
     """
     kappa = np.sort(rng.uniform(*kappa_range, size=n))
+    return squeezed_state(rng, kappa, r_max), kappa
+
+
+def squeezed_state(rng, kappa, r_max=0.5):
+    """``bloch_messiah_state``'s V for the given kappa."""
+    n = len(kappa)
     r = rng.uniform(-r_max, r_max, size=n)
     squeeze = np.diag(np.exp(np.column_stack([r, -r]).reshape(-1)))
     S = passive_mesh(rng, n) @ squeeze @ passive_mesh(rng, n)
     V = S @ np.diag(np.repeat(kappa, 2)) @ S.T
-    return 0.5 * (V + V.T), kappa
+    return 0.5 * (V + V.T)

@@ -338,6 +338,16 @@ class TestInputErrors:
         bad.write_text(text)
         assert run(capsys, ["decompose", str(bad)]) == (2, "", f"error: {bad}: {err}\n")
 
+    def test_integer_past_the_int_string_limit_names_the_file(self, tmp_path, capsys):
+        # json.load raises a plain ValueError (not a JSONDecodeError) for an
+        # integer longer than Python's int-string limit of 4300 digits
+        g = write_vector(tmp_path / "g.json", [1.0, 2.0])
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"values": [1, %s]}' % ("9" * 5000))
+        code, out, err = run(capsys, ["check", g, str(bad)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv, err",
         [

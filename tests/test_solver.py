@@ -431,14 +431,15 @@ class TestSynthesizeSevenModes:
         S_will = gm.williamson(W).S
         real_eigh = np.linalg.eigh
 
-        def phased_eigh(a, *args, **kwargs):
+        def regauged_eigh(a, *args, **kwargs):
             w, U = real_eigh(a, *args, **kwargs)
             if np.iscomplexobj(U):
-                U = U * np.exp(1j * np.arange(1, U.shape[1] + 1))  # one phase per column
-            return w, U
+                return w, U * np.exp(1j * np.arange(1, U.shape[-1] + 1))  # one phase per column
+            return w, -U  # every column's sign
 
-        monkeypatch.setattr(np.linalg, "eigh", phased_eigh)
-        # the patch is live: an eigh-based factor moves with the phases
+        monkeypatch.setattr(np.linalg, "eigh", regauged_eigh)
+        # the patch is live: williamson's basis comes from a real eigh, and its
+        # factor moves with the eigenvector signs
         assert np.abs(gm.williamson(W).S - S_will).max() > 1e-3
         S1, V1, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
         assert np.array_equal(S1, S0)

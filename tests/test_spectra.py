@@ -13,7 +13,7 @@ from gmarginal import InvalidCovarianceError, solver
 from gmarginal.spectra import _within_slack
 from gmarginal.two_mode import _pivot_factor
 
-from conftest import local_params, rand_local_symplectic
+from conftest import local_params, rand_local_symplectic, squeezed_state
 
 N_SAMPLES = 30
 
@@ -148,6 +148,56 @@ class TestWilliamson:
                 assert np.allclose(fac.kappa, expected, rtol=1e-12, atol=0)
             assert np.abs(fac.S @ omega @ fac.S.T - omega).max() < 1e-12
             assert np.abs(fac.S @ D @ fac.S.T - V).max() < 1e-12 * np.abs(V).max()
+
+
+#: Relative gaps of the near-tie ladder, on both sides of williamson's
+#: cluster threshold FACTOR_TOL * kappa_n (1e-6 relative).
+LADDER_GAPS = (0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3)
+
+
+def ladder_state(seed):
+    """n = 16 bounded-squeeze state whose kappa come in near-tied pairs, plus a triple tie."""
+    base = 1.2 + 0.4 * np.arange(len(LADDER_GAPS))
+    kappa = np.concatenate([base, base * (1.0 + np.array(LADDER_GAPS)), [3.6, 3.6, 3.6, 4.0]])
+    kappa = np.sort(kappa)
+    return squeezed_state(np.random.default_rng(seed), kappa), kappa
+
+
+def williamson_residuals(V, fac):
+    """(factor residual relative to max|V|, symplecticity residual), both max-norm."""
+    D = np.diag(np.repeat(fac.kappa, 2))
+    omega = gm.symplectic_form(V.shape[0] // 2)
+    res_fact = np.abs(fac.S @ D @ fac.S.T - V).max() / np.abs(V).max()
+    return res_fact, np.abs(fac.S @ omega @ fac.S.T - omega).max()
+
+
+class TestWilliamsonClusters:
+    """The real route: eigh(A^T A), a normal form per cluster of tied kappa,
+    and a first-order correction of the coupling between clusters."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_tie_ladder(self, seed):
+        V, kappa = ladder_state(seed)
+        fac = gm.williamson(V)
+        assert np.all(np.diff(fac.kappa) >= 0.0)
+        ref = gm.symplectic_spectrum(V)
+        assert np.abs(fac.kappa - ref).max() <= 1e-12 * ref[-1]
+        assert np.abs(fac.kappa - kappa).max() <= 1e-12 * kappa[-1]
+        res_fact, res_symp = williamson_residuals(V, fac)
+        # measured below 2e-15 on seeds 0-19
+        assert res_fact < 1e-14
+        assert res_symp < 1e-14
+
+    @pytest.mark.parametrize("n, bound", [(16, 2e-12), (24, 1.2e-10)])
+    def test_ill_conditioned_symplecticity(self, n, bound):
+        # cond(V) 5.6e8 and 4.1e11; each bound is 10x the residual measured
+        # with N = O^T (A O).  Forming N as the Omega-Gram matrix of L O
+        # instead rounds at eps ||L||^2 and gives 1.5e-11 and 2.6e-8.
+        V, _, _ = gm.random_state(n, seed=3)
+        fac = gm.williamson(V)
+        res_fact, res_symp = williamson_residuals(V, fac)
+        assert res_symp < bound
+        assert res_fact < 1e-14
 
 
 # positive diagonal but indefinite, and singular positive semidefinite:
