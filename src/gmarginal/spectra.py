@@ -4,7 +4,6 @@ tests, thermal eigenvalues."""
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ from .symplectic import (
     COUPLING_TOL,
     FACTOR_TOL,
     _factor_gate,
+    _omega_gram,
     _omega_rows,
     _positive_finite,
     _symplectic_residual,
@@ -40,18 +40,25 @@ class DominanceCertificate:
 
 @dataclass(frozen=True)
 class WilliamsonFactorization:
-    """Symplectic congruence V = S diag(k1, k1, ..., kn, kn) S^T."""
+    """Symplectic congruence V = S diag(k1, k1, ..., kn, kn) S^T.
+
+    ``factor_residual`` is max |S D S^T - V| and ``symplectic_residual``
+    max |S Omega S^T - Omega|, the two values the factorization gate read.
+    """
 
     S: np.ndarray
     kappa: np.ndarray
+    factor_residual: float
+    symplectic_residual: float
 
 
 def _chol_form(V: np.ndarray):
     """Validate V and return (V, L, L^T Omega L) with V = L L^T Cholesky.
 
-    The third matrix A is antisymmetrized exactly.  It is similar to
-    Omega V (L^-T A L^T = Omega V), so i A is Hermitian with eigenvalues
-    -kappa_n, ..., -kappa_1, kappa_1, ..., kappa_n.
+    The third matrix A is formed by ``_omega_gram``, so it is exactly
+    antisymmetric.  It is similar to Omega V (L^-T A L^T = Omega V), so
+    i A is Hermitian with eigenvalues -kappa_n, ..., -kappa_1, kappa_1,
+    ..., kappa_n.
 
     Raises:
         InvalidCovarianceError: V is not symmetric or not positive definite
@@ -62,107 +69,116 @@ def _chol_form(V: np.ndarray):
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError("covariance matrix is not positive definite") from None
-    A = L.T @ _omega_rows(L)
-    return V, L, 0.5 * (A - A.T)
+    return V, L, _omega_gram(L.T)
 
 
 def symplectic_spectrum(V: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted nondecreasing.
 
-    The real antisymmetric A = L^T Omega L of the Cholesky factor V = L L^T
-    has the eigenvalues +-i kappa_j of Omega V, so its singular values are
-    kappa_1, kappa_1, ..., kappa_n, kappa_n; every other one of them,
-    ascending, is returned.  This takes one Cholesky factorization and one
-    real SVD without vectors, and never forms the non-normal product
-    Omega V.  The SVD is backward stable on A, so each kappa carries an
-    absolute error of a few ulps of kappa_n, plus the Cholesky error, which
-    grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
+    The kappa of ``_normal_basis`` on A = L^T Omega L of the Cholesky factor
+    V = L L^T, sorted, so it equals ``williamson(V).kappa`` bitwise.  Each
+    kappa_j is read from the 2 x 2 block j of O^T A O for the orthogonal O
+    of a real ``eigh``, and never from the squared eigenvalues or the
+    non-normal product Omega V.  ``eigh`` is backward stable, so each kappa
+    carries an absolute error of a few ulps of kappa_n, plus the Cholesky
+    error, which grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
+
+    Raises:
+        InvalidCovarianceError: V is not a valid positive definite covariance.
+        NumericalError: a computed kappa is not positive (V is near-singular).
     """
-    _, _, A = _chol_form(V)
-    return np.linalg.svd(A, compute_uv=False)[::-2].copy()
+    return np.sort(_normal_basis(_chol_form(V)[2])[2])
 
 
 def williamson(V: np.ndarray) -> WilliamsonFactorization:
     """Factor V as S diag(kappa pairs) S^T with S symplectic and kappa sorted.
 
-    Works on A = L^T Omega L of the Cholesky factor V = L L^T, as
-    ``symplectic_spectrum`` does, in real arithmetic but for small blocks:
-
-    1. ``eigh`` of A^T A = -A^2 (eigenvalues kappa_j^2, each twice) gives an
-       orthogonal O, and N = O^T A O is block diagonal over the clusters of
-       tied kappa (gaps at most FACTOR_TOL * kappa_n) up to round-off.
-    2. Each cluster's 2p x 2p block B of N gets an exact normal form: the
-       columns (sqrt(2) Im u, sqrt(2) Re u) of each eigenvector u of i B
-       with eigenvalue kappa > 0 span a block [[0, kappa], [-kappa, 0]]
-       (one stacked ``eigh`` per cluster size).  kappa_j is read from that
-       block of N, not from the squared eigenvalues, which lose relative
-       accuracy on small kappa.
-    3. O <- O (I + X) removes the blocks E_ij of N that couple two clusters
-       to first order: kappa_i J X_ij - X_ij kappa_j J = -E_ij with
-       J = [[0, 1], [-1, 0]], solved by dividing the part of E_ij that
-       commutes with J by kappa_i - kappa_j and the part that anticommutes
-       with it by kappa_i + kappa_j.
+    ``_normal_basis`` gives the orthogonal O (as P = O^T) whose N = O^T A O
+    is the direct sum of kappa_j J within each cluster of tied kappa, with
+    J = [[0, 1], [-1, 0]].  O <- O (I + X) then removes the blocks E_ij of N
+    that couple two clusters to first order: kappa_i J X_ij - X_ij kappa_j J
+    = -E_ij, solved by dividing the part of E_ij that commutes with J by
+    kappa_i - kappa_j and the part that anticommutes with it by
+    kappa_i + kappa_j.
 
     S = L O D^(-1/2) then gives S D S^T = L L^T = V, and it is symplectic
     because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
     """
     V, L, A = _chol_form(V)
-    P, kappa = _normal_basis(A)
-    F = L @ P.T  # S D^(1/2), so S D S^T = F F^T, a symmetric rank-k product
-    S = F * (1.0 / np.sqrt(np.repeat(kappa, 2)))
-    res_fact = float(np.max(np.abs(F @ F.T - V)))
-    _factor_gate(res_fact, _symplectic_residual(S), 1.0 + float(np.max(np.abs(V))))
-    return WilliamsonFactorization(S=S, kappa=kappa)
-
-
-def _normal_basis(A: np.ndarray):
-    """(P, kappa): P = O^T for the orthogonal O of ``williamson`` and kappa sorted.
-
-    O^T A O is the direct sum of kappa_j J to first order in the
-    round-off of ``eigh``; the steps are those of ``williamson``.  P's rows
-    are O's columns, so a cluster's basis vectors are a block of rows.
-    """
-    n = A.shape[0] // 2
-    w, O = np.linalg.eigh(A.T @ A)
-    P = O.T
-    G = P @ A  # O^T A
-    k_est = np.sqrt(np.abs(w[1::2]))
-    gap = np.diff(k_est) > FACTOR_TOL * k_est[-1]
-    label = np.concatenate(([0], np.cumsum(gap)))
-    starts = np.flatnonzero(np.concatenate(([True], gap)))
-    sizes = np.diff(np.append(starts, n))
-    for p in set(sizes.tolist()):
-        idx = 2 * starts[sizes == p][:, None] + np.arange(2 * p)
-        Pc, Gc = P[idx], G[idx]
-        B = Gc @ Pc.transpose(0, 2, 1)
-        U = np.linalg.eigh(0.5j * (B - B.transpose(0, 2, 1)))[1][:, :, p:]
-        Qt = np.empty(B.shape)  # Q^T: rows (sqrt(2) Im u, sqrt(2) Re u)
-        Qt[:, 0::2] = U.imag.transpose(0, 2, 1)
-        Qt[:, 1::2] = U.real.transpose(0, 2, 1)
-        Qt *= math.sqrt(2.0)
-        P[idx] = Qt @ Pc
-        G[idx] = Qt @ Gc
+    P, G, kappa, label = _normal_basis(A)
+    n = kappa.size
     N = G @ P.T
     del G  # each 2n x 2n buffer freed early keeps the peak memory down
-    N -= N.T
-    N *= 0.5
-    kappa = N.diagonal(1)[0::2].copy()
-    if not np.min(kappa) > 0.0:
-        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
+    N -= N.T  # twice the antisymmetrized N; the 1/2 is folded into u
     # X = Y - Y^T: block (i, j) of Y is J E_ij / 2 (1/(k_i - k_j) + 1/(k_i + k_j))
     # = J E_ij k_i / (k_i^2 - k_j^2) between clusters and 0 inside one, and
     # Omega N holds every J E_ij
     k = kappa[:, None]
-    u = np.divide(k, (k - kappa) * (k + kappa), out=np.zeros((n, n)), where=label[:, None] != label)
+    u = np.divide(0.5 * k, (k - kappa) * (k + kappa), out=np.zeros((n, n)), where=label[:, None] != label)
     Y = _omega_rows(N)
     del N
     Y.reshape(n, 2, 2 * n)[...] *= np.repeat(u, 2, axis=1)[:, None, :]
-    O += O @ (Y - Y.T)  # P = O^T follows
+    P += (Y.T - Y) @ P  # O <- O (I + X)
     if np.any(np.diff(kappa) < 0.0):  # tied kappa can come out an ulp out of order
         order = np.argsort(kappa, kind="stable")
-        kappa = kappa[order]
-        P = P[(2 * order[:, None] + np.arange(2)).ravel()]
-    return P, kappa
+        kappa, P = kappa[order], P[(2 * order[:, None] + np.arange(2)).ravel()]
+    F = L @ P.T  # S D^(1/2), so S D S^T = F F^T, a symmetric rank-k product
+    S = F * (1.0 / np.sqrt(np.repeat(kappa, 2)))
+    res_fact = float(np.max(np.abs(F @ F.T - V)))
+    res_symp = _symplectic_residual(S)
+    _factor_gate(res_fact, res_symp, 1.0 + float(np.max(np.abs(V))))
+    return WilliamsonFactorization(S, kappa, res_fact, res_symp)
+
+
+def _normal_basis(A: np.ndarray):
+    """(P, G, kappa, label): the one kappa kernel, on A = L^T Omega L.
+
+    1. ``eigh`` of A^T A = -A^2 (eigenvalues kappa_j^2, each twice; formed
+       from A scaled by a power of two, so kappa^2 stays in range) gives an
+       orthogonal O, and P = O^T, G = P A.  N = G P^T is block diagonal over
+       the clusters of tied kappa (gaps at most FACTOR_TOL * kappa_n, cluster
+       ``label`` per pair) up to round-off.
+    2. An untied pair's 2 x 2 block of N is already kappa_j J up to its
+       orientation: the pair's second row of P and of G is negated when the
+       coupling G[2j] . P[2j+1] is negative.  Each cluster of p >= 2 gets an
+       exact normal form: the rows (sqrt(2) Im u, sqrt(2) Re u) of each
+       eigenvector u of i B, B its 2p x 2p block of N, with eigenvalue
+       kappa > 0 span a block [[0, kappa], [-kappa, 0]] (one stacked ``eigh``
+       per cluster size).
+    3. kappa_j, in the order of the pairs, is the antisymmetrized entry
+       (N[2j, 2j+1] - N[2j+1, 2j]) / 2 read by row dot products from G and P,
+       which costs O(n^2) and does not form N.  Squared eigenvalues would
+       lose relative accuracy on small kappa.
+
+    Raises:
+        NumericalError: a computed kappa is not positive.
+    """
+    As = A * 2.0 ** -np.frexp(np.max(np.abs(A)))[1]  # exact rescale: no over- or underflow in A^T A
+    w, O = np.linalg.eigh(As.T @ As)  # clusters are found from kappa ratios only
+    P = O.T  # rows are O's columns, so a cluster's basis vectors are a block of rows
+    G = P @ A
+    flip = np.copysign(1.0, np.einsum("ij,ij->i", G[0::2], P[1::2]))[:, None]
+    P[1::2] *= flip
+    G[1::2] *= flip
+    k_est = np.sqrt(np.abs(w[1::2]))
+    gap = np.diff(k_est) > FACTOR_TOL * k_est[-1]
+    label = np.concatenate(([0], np.cumsum(gap)))
+    sizes = np.bincount(label)
+    starts = np.cumsum(sizes) - sizes
+    for p in set(sizes.tolist()) - {1}:
+        idx = 2 * starts[sizes == p][:, None] + np.arange(2 * p)
+        Pc, Gc = P[idx], G[idx]
+        B = Gc @ Pc.transpose(0, 2, 1)
+        U = np.linalg.eigh(0.5j * (B - B.transpose(0, 2, 1)))[1][:, :, p:]
+        # Q^T: rows (sqrt(2) Im u, sqrt(2) Re u) for the columns u of U
+        Qt = np.sqrt(2.0) * np.stack((U.imag, U.real), -1).transpose(0, 2, 3, 1).reshape(B.shape)
+        P[idx] = Qt @ Pc
+        G[idx] = Qt @ Gc
+    # halved before the difference, which could overflow near the top of the double range
+    kappa = 0.5 * np.einsum("ij,ij->i", G[0::2], P[1::2]) - 0.5 * np.einsum("ij,ij->i", G[1::2], P[0::2])
+    if not np.min(kappa) > 0.0:
+        raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
+    return P, G, kappa, label
 
 
 def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:

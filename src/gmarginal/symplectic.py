@@ -198,12 +198,15 @@ def validate_covariance(V: np.ndarray) -> np.ndarray:
         raise InvalidCovarianceError("covariance matrix must be square")
     if V.shape[0] == 0 or V.shape[0] % 2 != 0:
         raise InvalidCovarianceError("covariance matrix must be 2n x 2n with n >= 1")
-    if not np.all(np.isfinite(V)):
+    big = float(np.max(np.abs(V)))
+    if not big < math.inf:  # an inf or a NaN entry
         raise InvalidCovarianceError("covariance matrix contains non-finite entries")
-    scale = 1.0 + float(np.max(np.abs(V)))
-    if float(np.max(np.abs(V - V.T))) > DEFAULT_TOL * scale:
+    with np.errstate(over="ignore"):  # an overflow is an asymmetry far above the bound
+        asym = float(np.max(np.abs(V - V.T)))
+    if asym > DEFAULT_TOL * (1.0 + big):
         raise InvalidCovarianceError("covariance matrix is not symmetric")
-    return 0.5 * (V + V.T)
+    # the same values as 0.5 (V + V^T), but a sum of two finite entries can overflow
+    return V.copy() if asym == 0.0 else 0.5 * V + 0.5 * V.T
 
 
 def local_parameters(V: np.ndarray) -> np.ndarray:

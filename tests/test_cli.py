@@ -205,6 +205,7 @@ class TestWilliamsonCommand:
         assert main(["williamson", f]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["residual"] < 1e-9
+        assert doc["residual"] == gm.williamson(V).factor_residual
         kappa = np.array(doc["kappa"])
         assert np.allclose(kappa, gm.symplectic_spectrum(V), atol=1e-9, rtol=0)
         S = np.asarray(doc["S"]["data"]).reshape(6, 6)

@@ -158,9 +158,9 @@ class TestJacobi:
         n = 6
         _, _, trace = gm.jacobi_decompose(gm.random_state(n, seed=17)[0])
         # only the physicality check calls np.linalg (one cholesky, one
-        # svd); the local normal form and every pivot are closed-form
+        # real eigh); the local normal form and every pivot are closed-form
         assert len(trace.steps) > 10 * n
-        assert sorted(calls) == ["cholesky", "svd"]
+        assert sorted(calls) == ["cholesky", "eigh"]
 
     def test_sweep_budget_returns_partial(self):
         V, _, _ = gm.random_state(6, seed=17)

@@ -13,7 +13,8 @@ from gmarginal import InvalidCovarianceError, solver
 from gmarginal.spectra import _within_slack
 from gmarginal.two_mode import _pivot_factor
 
-from conftest import local_params, rand_local_symplectic, squeezed_state
+from conftest import bloch_messiah_state, local_params, rand_local_symplectic, squeezed_state
+from test_oracle import STATES as ORACLE_STATES
 
 N_SAMPLES = 30
 
@@ -87,6 +88,14 @@ class TestSymplecticSpectrum:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidCovarianceError):
             gm.symplectic_spectrum(np.diag([1.0, -1.0, 2.0, 2.0]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_extreme_scales(self, scale):
+        # kappa(c V) = c kappa(V); kappa^2 leaves the double range below 1e-154
+        # and above 1e154, so the kernel's A^T A must not be formed unscaled
+        V, _, _ = gm.random_state(4, seed=1)
+        got = gm.symplectic_spectrum(scale * V) / scale
+        assert np.allclose(got, gm.symplectic_spectrum(V), rtol=1e-13, atol=0)
 
 
 class TestWilliamson:
@@ -198,6 +207,72 @@ class TestWilliamsonClusters:
         res_fact, res_symp = williamson_residuals(V, fac)
         assert res_symp < bound
         assert res_fact < 1e-14
+
+
+def one_kernel_states():
+    """The oracle's states, the near-tie ladder and an n = 12 Bloch-Messiah state."""
+    states = dict(ORACLE_STATES)  # Bloch-Messiah n = 2, 4, 8 and a tied-kappa synthesis
+    for seed in (0, 1, 2):
+        states[f"ladder-{seed}"] = ladder_state(seed)[0]
+    states["bloch-messiah-12"] = bloch_messiah_state(np.random.default_rng(12), 12)[0]
+    return states
+
+
+ONE_KERNEL_STATES = one_kernel_states()
+
+
+class TestOneKappaKernel:
+    """symplectic_spectrum and williamson read kappa from one normal-form basis."""
+
+    @pytest.mark.parametrize("state", sorted(ONE_KERNEL_STATES))
+    def test_spectrum_is_williamson_kappa(self, state):
+        V = ONE_KERNEL_STATES[state]
+        assert np.array_equal(gm.symplectic_spectrum(V), gm.williamson(V).kappa)
+
+    @pytest.mark.parametrize("state", sorted(ONE_KERNEL_STATES))
+    def test_kappa_ignores_eigenvector_signs(self, state, monkeypatch):
+        V = ONE_KERNEL_STATES[state]
+        kappa = gm.symplectic_spectrum(V)
+        real_eigh = np.linalg.eigh
+        regauged = []
+
+        def regauged_eigh(a, *args, **kwargs):
+            w, U = real_eigh(a, *args, **kwargs)
+            if np.iscomplexobj(U):
+                return w, U
+            regauged.append(a.shape)
+            U = U.copy()
+            U[:, 1::2] *= -1.0  # every odd column: each pair's coupling changes sign
+            return w, U
+
+        monkeypatch.setattr(np.linalg, "eigh", regauged_eigh)
+        fac = gm.williamson(V)
+        assert np.array_equal(gm.symplectic_spectrum(V), kappa)
+        assert len(regauged) == 2  # the patch is live in both routines
+        assert np.array_equal(fac.kappa, kappa)
+        res_fact, res_symp = williamson_residuals(V, fac)
+        assert res_fact < 1e-14
+        assert res_symp < 1e-14
+
+
+class TestEdgeStates:
+    """Verdicts and exception classes on the states that strain the kernel."""
+
+    def test_large_local_parameters(self):
+        # physical, but its Cholesky factorization fails: cond(V) is about 1e16
+        _, W, _ = gm.synthesize((1.0, 1.0), (1e8, 1e8))
+        assert gm.check_physical(W) is False
+        for routine in (gm.symplectic_spectrum, gm.williamson):
+            with pytest.raises(InvalidCovarianceError):
+                routine(W)
+
+    def test_compounded_squeezing(self):
+        # random_state(n, seed=3) has cond(V) 4e16 at n = 32 and is not
+        # numerically positive definite at n = 48
+        kappa = gm.symplectic_spectrum(gm.random_state(32, seed=3)[0])
+        assert abs(kappa[0] - 0.99388) < 5e-6
+        with pytest.raises(InvalidCovarianceError):
+            gm.symplectic_spectrum(gm.random_state(48, seed=3)[0])
 
 
 # positive diagonal but indefinite, and singular positive semidefinite:

@@ -156,6 +156,24 @@ class TestValidateCovariance:
         with pytest.raises(InvalidCovarianceError):
             gm.validate_covariance(V)
 
+    def test_finite_entries_do_not_overflow(self):
+        # 2 x 1.6e308 overflows; the suite turns a RuntimeWarning into an error
+        V = np.diag([1.6e308] * 2)
+        assert np.array_equal(gm.validate_covariance(V), V)
+        V[0, 1], V[1, 0] = 1.6e308, -1.6e308
+        with pytest.raises(InvalidCovarianceError, match="symmetric"):
+            gm.validate_covariance(V)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_output_is_a_symmetric_copy(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((2 * n, 2 * n))
+        V = X @ X.T + 1e-12 * rng.standard_normal((2 * n, 2 * n))
+        for M in (V, 0.5 * (V + V.T)):
+            out = gm.validate_covariance(M)
+            assert out is not M
+            assert np.array_equal(out, 0.5 * (M + M.T))
+
 
 def test_local_normal_form_makes_blocks_isotropic():
     rng = np.random.default_rng(3)
