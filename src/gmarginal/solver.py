@@ -93,8 +93,11 @@ class SynthesisTrace:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Residuals of the three synthesis checks; ok when all are within tol (VERIFY_TOL).
+    """Residuals of the three synthesis checks and their verdict; ``tol`` is VERIFY_TOL.
 
+    ok when ``symplectic_residual`` <= tol and the two residuals measured in
+    units of the spectra, ``diagonal_residual`` and ``spectrum_residual``,
+    are each <= tol * (1 + max(kappa_n, m_n)); see ``verify``.
     ``spectrum_residual`` is a certified upper bound on the spectral error,
     not a measurement: by Weyl's inequality for singular values (Horn and
     Johnson, Topics in Matrix Analysis, Thm 3.3.16) each symplectic
@@ -266,15 +269,20 @@ def synthesize(kappa, m):
     step function applies it.  Each transfer touches only the four rows and
     columns of its pair, so it costs O(n), and the whole schedule of at most
     n - 1 transfers O(n^2).
-    Finalizing a mode and checking a pair's structure allow round-off of
-    DEFAULT_TOL * (1 + max(kappa_n, m_n)).
+    With s = 1 + max(kappa_n, m_n), finalizing a mode and checking a pair's
+    structure allow round-off of DEFAULT_TOL * s, and the final check of the
+    diagonal against m allows VERIFY_TOL * s, the allowance ``verify``
+    applies.  Away from those round-off thresholds, scaling (kappa, m) by
+    4^e, which is exact in floating point, leaves S bit for bit unchanged.
 
     Raises:
         ValueError: ``dominates`` rejects the vectors (shape, or an entry
             that is not a positive finite real), or one is not sorted.
         UnphysicalSpectrumError: kappa[0] < 1.
         IncompatibleSpectraError: the dominance certificate has a negative
-            slack beyond tolerance.
+            slack beyond tolerance, or the tail slack is below
+            -DEFAULT_TOL * s, so a sum gap is left after stage 2 with no
+            mode to absorb it.
         NumericalError: the schedule loses accuracy.  This and any other
             exception raised after the inputs are validated carries the
             steps done before it as ``err.trace``, a SynthesisTrace.
@@ -295,7 +303,8 @@ def synthesize(kappa, m):
         )
 
     n = int(kappa.size)
-    atol = DEFAULT_TOL * (1.0 + float(max(kappa[-1], m[-1])))
+    scale = 1.0 + float(max(kappa[-1], m[-1]))
+    atol = DEFAULT_TOL * scale
     W = np.diag(np.repeat(kappa, 2))
     S = np.eye(2 * n)
     m_sum = np.sum(m)
@@ -382,7 +391,10 @@ def synthesize(kappa, m):
         # Stage 3: one general transform absorbs whatever gap is left.
         if delta > atol:
             if i > n - 1:
-                raise NumericalError("no mode left to absorb the remaining sum gap")
+                # d_n - sum_{j<n} d_j is kept by stages 1-2, so this is a tail deficit
+                raise IncompatibleSpectraError(
+                    f"tail slack below tolerance: sum gap {delta:.3e} left with no mode to absorb it"
+                )
             t_n = d[n - 1] + delta - (m[i - 1] - d[i - 1])
             apply_step(3, "GEN", i, n, (m[i - 1], t_n))
             i += 1
@@ -392,8 +404,7 @@ def synthesize(kappa, m):
             if not abs(m[i - 1] - d[i - 1]) <= atol:
                 apply_step(4, "BS", i, n, bs_param(d[i - 1], d[n - 1], m[i - 1]))
 
-        check_tol = max(atol, VERIFY_TOL * (1.0 + float(m[-1])))
-        if float(np.max(np.abs(np.subtract(d, m)))) > check_tol:
+        if float(np.max(np.abs(np.subtract(d, m)))) > VERIFY_TOL * scale:
             raise NumericalError(f"schedule finished with diagonal {d} instead of {m}")
     except Exception as err:
         err.trace = trace()
@@ -406,10 +417,18 @@ def verify(S, kappa, m) -> VerifyReport:
 
     Checks that S is symplectic, that the diagonal blocks of
     V = S diag(kappa pairs) S^T are isotropic with values matching m as a
-    multiset, and that the symplectic spectrum of V is sorted kappa, each
-    within VERIFY_TOL, absolute.  A singular or non-finite S fails the
-    check; it is not an error, and a non-finite S reports NaN residuals.
-    kappa must be positive and finite.
+    multiset, and that the symplectic spectrum of V is sorted kappa.  The
+    symplectic residual max|S Omega S^T - Omega| does not depend on the
+    scale of the spectra and is held to VERIFY_TOL; the other two are
+    measured in their units and held to VERIFY_TOL * (1 + max(kappa_n, m_n)),
+    the allowance of ``synthesize``'s final check.  A singular or non-finite
+    S fails the check; it is not an error, and a non-finite S reports NaN
+    residuals.  Every entry of kappa and m must be positive and finite.
+
+    V is not formed: mode j's block is read from S's row pair (q_j, p_j) as
+    the weighted row sums (q_j * q_j) @ d, (p_j * p_j) @ d and (q_j * p_j) @ d
+    for d the diagonal of diag(kappa pairs), O(n^2) in all, so the cost is
+    the two half products of the symplectic and spectral residuals.
 
     The spectrum is not recomputed: ``spectrum_residual`` is a certified
     upper bound on max_j |kappa'_j - kappa_j| for the spectrum kappa' of V.
@@ -428,18 +447,13 @@ def verify(S, kappa, m) -> VerifyReport:
     n = kappa.size
     if kappa.ndim != 1 or m.shape != kappa.shape or S.shape != (2 * n, 2 * n):
         raise ValueError("shape mismatch between S and the parameter vectors")
-    kappa = np.sort(_positive_finite(kappa))
-    m = np.sort(m)
+    kappa, m = np.sort(_positive_finite(kappa)), np.sort(_positive_finite(m))
     if not np.all(np.isfinite(S)):
-        nan = float("nan")
-        return VerifyReport(nan, nan, nan, tol=VERIFY_TOL, ok=False)
+        return VerifyReport(math.nan, math.nan, math.nan, tol=VERIFY_TOL, ok=False)
     res_symp = _symplectic_residual(S)
     d = np.repeat(kappa, 2)
-    V = (S * d) @ S.T
-    V = 0.5 * (V + V.T)
-    # each mode's block center and anisotropy: V is exactly symmetric, so
-    # the superdiagonal entry of each block stands for both off-diagonal ones
-    d0, d1, off = V.diagonal()[0::2], V.diagonal()[1::2], V.diagonal(1)[0::2]
+    q, p = S[0::2], S[1::2]
+    d0, d1, off = (q * q) @ d, (p * p) @ d, (q * p) @ d
     vals = 0.5 * (d0 + d1)
     iso_max = float(np.max(np.abs([d0 - vals, d1 - vals, off])))
     res_diag = max(iso_max, float(np.max(np.abs(np.sort(vals) - m))))
@@ -448,7 +462,8 @@ def verify(S, kappa, m) -> VerifyReport:
     E *= r[:, None]
     E *= r
     res_spec = math.sqrt(float(np.vdot(E, E)))
-    ok = bool(res_symp <= VERIFY_TOL and res_diag <= VERIFY_TOL and res_spec <= VERIFY_TOL)
+    tol_s = VERIFY_TOL * (1.0 + max(kappa[-1], m[-1]))
+    ok = bool(res_symp <= VERIFY_TOL and res_diag <= tol_s and res_spec <= tol_s)
     return VerifyReport(
         symplectic_residual=res_symp,
         diagonal_residual=res_diag,

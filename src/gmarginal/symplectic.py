@@ -24,7 +24,9 @@ DEFAULT_TOL = 1e-10
 #: ``tol`` of ``check_physical``), the dominance allowance of ``_within_slack`` and
 #: the two-mode feasibility checks, each scaled there.
 COUPLING_TOL = 1e-9
-#: ``verify``'s bound, absolute, and the floor of ``synthesize``'s final diagonal check.
+#: ``verify``'s bound: absolute on the symplectic residual, relative to
+#: 1 + max(kappa_n, m_n) on the diagonal and spectral ones and on ``synthesize``'s
+#: final diagonal check.
 VERIFY_TOL = 1e-8
 #: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|;
 #: also ``williamson``'s cluster threshold for tied kappa, relative to kappa_n.

@@ -257,8 +257,11 @@ def solve_couplings(m1, m2, kappa1, kappa2):
 
     With P = k_x k_p fixed by the trace invariant and Q = k_x^2 + k_p^2
     fixed by the determinant invariant, the squared couplings are the roots
-    of t^2 - Q t + P^2.  Sorting of the inputs is the caller's business;
-    all formulas are symmetric under swapping within each pair.
+    of t^2 - Q t + P^2.  k_x is the square root of the larger root and
+    k_p = P / k_x, clipped to [-k_x, k_x] against round-off; k_p is zeroed
+    only when k_x is 0, so both couplings scale with the inputs.  Sorting of
+    the inputs is the caller's business; all formulas are symmetric under
+    swapping within each pair.
 
     Raises:
         IncompatibleSpectraError: no real couplings exist, i.e.
@@ -282,7 +285,8 @@ def solve_couplings(m1, m2, kappa1, kappa2):
     kx = float(np.sqrt(t_hi))
     # the smaller root satisfies t_hi * t_lo = P^2 exactly, so recover the
     # second coupling from the product invariant instead of the noisy root
-    kp = float(P / kx) if kx > COUPLING_TOL * g else 0.0
+    # and clip it so that k_x >= |k_p| survives round-off
+    kp = float(min(max(P / kx, -kx), kx)) if kx > 0.0 else 0.0
     return kx, kp
 
 

@@ -129,6 +129,21 @@ class TestSynthesize:
         assert "incompatible" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tail_deficit_exits_one(self, tmp_path, capsys):
+        g = write_vector(tmp_path / "g.json", [1.0, 1.0])
+        l = write_vector(tmp_path / "l.json", [1.0, 1.0 + 5e-10])
+        out = tmp_path / "out.json"
+        assert main(["check", g, l]) == 1
+        assert main(["synthesize", g, l, str(out)]) == 1
+        assert "incompatible: tail slack" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_scaled_instance_exits_zero(self, tmp_path, capsys, scale):
+        g = write_vector(tmp_path / "g.json", [scale * x for x in SEVEN_KAPPA])
+        l = write_vector(tmp_path / "l.json", [scale * x for x in SEVEN_M])
+        assert main(["synthesize", g, l, str(tmp_path / "out.json")]) == 0
+
     def test_byte_deterministic(self, tmp_path, capsys):
         g = write_vector(tmp_path / "g.json", SEVEN_KAPPA)
         l = write_vector(tmp_path / "l.json", SEVEN_M)

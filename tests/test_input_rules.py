@@ -16,6 +16,7 @@ ENTRY_POINTS = {
     "synthesize-kappa": lambda x: gm.synthesize((1.0, x), (2.0, 2.0)),
     "synthesize-m": lambda x: gm.synthesize((1.0, 3.0), (2.0, x)),
     "verify-kappa": lambda x: gm.verify(np.eye(4), (x, 3.0), (2.0, 2.0)),
+    "verify-m": lambda x: gm.verify(np.eye(4), (1.0, 3.0), (2.0, x)),
     "solve_couplings": lambda x: gm.solve_couplings(x, 2.0, 1.0, 1.5),
     "bs_param-a": lambda x: gm.bs_param(x, 2.0, 1.5),
     "bs_param-target": lambda x: gm.bs_param(1.0, 2.0, x),

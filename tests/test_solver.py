@@ -600,6 +600,15 @@ class TestSynthesizeGeneral:
         trace = info.value.trace
         assert len(trace.steps) == len(full.steps) and trace.stage_counts == full.stage_counts
 
+    def test_tail_deficit_is_incompatible(self):
+        # the tail slack -5e-10 passes the dominance allowance but not the
+        # schedule's: stages 1-2 keep d_n - sum_{j<n} d_j, so a gap is left
+        # over with no mode to absorb it
+        with pytest.raises(IncompatibleSpectraError, match="sum gap 5.000e-10") as info:
+            gm.synthesize((1.0, 1.0), (1.0, 1.0 + 5e-10))
+        trace = info.value.trace
+        assert trace.steps == [] and trace.stage1_finalized == 1
+
     def test_single_mode(self):
         S, V, trace = gm.synthesize((2.0,), (2.0,))
         assert trace.steps == [] and np.allclose(V, 2.0 * np.eye(2), atol=0)
@@ -652,6 +661,11 @@ def dominated_spectra(draw):
     k = draw(st.integers(1, n - 1)) if face == "prefix" else 0
     index = st.integers(k, n - 1)
     ops = draw(st.lists(st.tuples(st.booleans(), index, index, st.integers(1, 3)), max_size=2 * n))
+    return kappa, dominated_m(kappa, face, ops), face, k
+
+
+def dominated_m(kappa, face, ops):
+    """m = kappa moved by the grid steps ``ops`` of ``dominated_spectra``, sorted."""
     m = kappa.copy()
     for transfer, i, j, w in ops:
         if i == j:
@@ -667,7 +681,17 @@ def dominated_spectra(draw):
                 j = int(np.argmax(m))
             m[i] += 16 * w * GRID
             m[j] += 16 * w * GRID
-    return kappa, np.sort(m), face, k
+    return np.sort(m)
+
+
+def polytope_draw(seed, n, face):
+    """(kappa, m): one ``dominated_spectra`` draw of n modes on ``face``, seeded."""
+    rng = np.random.default_rng(seed)
+    units = (64, 128, 256) if face == "tied" else np.arange(64, 321)
+    kappa = np.sort(rng.choice(units, n)) * GRID
+    k = int(rng.integers(1, n)) if face == "prefix" else 0
+    ops = [(rng.random() < 0.5, *rng.integers(k, n, 2).tolist(), int(rng.integers(1, 4))) for _ in range(2 * n)]
+    return kappa, dominated_m(kappa, face, ops)
 
 
 class TestSynthesizeProperties:
@@ -689,6 +713,31 @@ class TestSynthesizeProperties:
         S, _, trace = gm.synthesize(kappa, m)
         assert len(trace.steps) <= n - 1
         assert gm.verify(S, kappa, m).ok
+
+
+# the README pair and one n = 32 draw per face, all on a dyadic grid
+SCALE_CASES = {
+    "readme": (np.array(SEVEN_KAPPA), np.array(SEVEN_M)),
+    **{face: polytope_draw(32, 32, face) for face in ("interior", "tied", "prefix", "tail")},
+}
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_synthesis_is_scale_equivariant(case):
+    """(kappa, m) -> (4^e kappa, 4^e m) scales V by 4^e and leaves S bitwise alone.
+
+    Both 4^e and its square root are powers of two, so every scaled value is
+    exact, and ``verify`` judges the scaled result as it does the unscaled one.
+    """
+    kappa, m = SCALE_CASES[case]
+    assert gm.dominates(kappa, m).compatible
+    S0, _, trace = gm.synthesize(kappa, m)
+    assert len(trace.steps) > 0
+    for e in (0, 10, 20, 40, 60):
+        c = 4.0**e
+        S, _, _ = gm.synthesize(c * kappa, c * m)
+        assert np.array_equal(S, S0), e
+        assert gm.verify(S, c * kappa, c * m).ok, e
 
 
 class TestJacobiProperties:
@@ -764,16 +813,35 @@ class TestVerify:
         got = gm.verify(S, SEVEN_KAPPA, SEVEN_M).spectrum_residual
         assert abs(got - dense) <= 1e-12 * dense
 
-    @pytest.mark.parametrize("entry", [(0, 0), "largest"])
-    def test_one_scaled_entry_fails(self, entry):
-        S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)
+    @pytest.mark.parametrize(
+        "entry, scale",
+        [
+            pytest.param((0, 0), 1.0, id="entry0"),
+            pytest.param("largest", 1.0, id="largest"),
+            pytest.param((0, 0), 1e6, id="entry0-x1e6"),
+            pytest.param("largest", 1e6, id="largest-x1e6"),
+        ],
+    )
+    def test_one_scaled_entry_fails(self, entry, scale):
+        kappa, m = np.multiply(SEVEN_KAPPA, scale), np.multiply(SEVEN_M, scale)
+        S, _, _ = gm.synthesize(kappa, m)
         if entry == "largest":
             entry = np.unravel_index(np.argmax(np.abs(S)), S.shape)
         S = S.copy()
         S[entry] *= 1.0 + 1e-7
-        report = gm.verify(S, SEVEN_KAPPA, SEVEN_M)
+        report = gm.verify(S, kappa, m)
         assert not report.ok
-        assert report.spectrum_residual > gm.VERIFY_TOL
+        assert report.symplectic_residual > gm.VERIFY_TOL
+        assert report.spectrum_residual > gm.VERIFY_TOL * (1.0 + max(kappa[-1], m[-1]))
+
+    @pytest.mark.parametrize("exponent", range(2, 9))
+    def test_scaled_instance_passes(self, exponent):
+        # every residual measured in units of the spectra is judged relative
+        # to 1 + max(kappa_n, m_n), so a correct synthesis passes at any scale
+        kappa, m = np.multiply(SEVEN_KAPPA, 10.0**exponent), np.multiply(SEVEN_M, 10.0**exponent)
+        S, _, _ = gm.synthesize(kappa, m)
+        report = gm.verify(S, kappa, m)
+        assert report.ok and report.tol == gm.VERIFY_TOL
 
     def test_calls_no_linear_algebra_routine(self, monkeypatch):
         S, _, _ = gm.synthesize(SEVEN_KAPPA, SEVEN_M)

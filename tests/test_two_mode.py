@@ -162,6 +162,21 @@ class TestSolveCouplings:
             assert abs(det - (k1 * k2) ** 2) < 1e-10 * (k1 * k2) ** 2
             assert kx >= abs(kp) - 1e-15
 
+    def test_weak_coupling_at_large_locals(self):
+        # k_x = 0.09 is below COUPLING_TOL * m1 m2 = 0.1: a coupling compared
+        # with a squared local parameter would zero k_p and miss kappa by 2.5e-6
+        kappa = gm.symplectic_spectrum(form_matrix(1e4, 1e4, 0.09, 0.05))
+        kx, kp = gm.solve_couplings(1e4, 1e4, *kappa)
+        assert kx >= kp > 0.0
+        V = gm.reconstruct_two_mode(1e4, 1e4, *kappa)
+        assert np.max(np.abs(gm.symplectic_spectrum(V) - kappa) / kappa) < 1e-11
+
+    def test_scaled_readme_stage_three_block(self):
+        # the README instance's stage-3 pair (9, 23; 4, 18), times 1e8
+        kappa = np.array([4e8, 1.8e9])
+        V = gm.reconstruct_two_mode(9e8, 2.3e9, *kappa)
+        assert np.max(np.abs(gm.symplectic_spectrum(V) - kappa) / kappa) < 1e-12
+
     def test_existence_violation(self):
         # locals (1, 1) cannot host globals (1, 3): m1 m2 - |P| = -3 < 3
         with pytest.raises(IncompatibleSpectraError):
