@@ -3,8 +3,9 @@
 Matrix files are JSON objects {"n": modes, "data": [4 n^2 reals, row-major]};
 vector files are {"values": [positive reals]}.  All numeric output is printed
 with 17 significant digits in a fixed field order, so equal inputs produce
-byte-identical output.  Exit codes: 0 success / compatible, 1 incompatible or
-verification failure, 2 input error, 3 numerical failure.
+byte-identical output for one NumPy/BLAS build, kernel and thread count.
+Exit codes: 0 success / compatible, 1 incompatible or verification failure,
+2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations

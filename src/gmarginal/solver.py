@@ -27,7 +27,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _above_vacuum, _within_slack, check_physical, dominates
+from .spectra import _above_vacuum, _within_slack, dominates
 from .symplectic import (
     DEFAULT_TOL,
     VERIFY_TOL,
@@ -102,7 +102,9 @@ class VerifyReport:
     not a measurement: by Weyl's inequality for singular values (Horn and
     Johnson, Topics in Matrix Analysis, Thm 3.3.16) each symplectic
     eigenvalue of S diag(kappa pairs) S^T is within
-    ||D^(1/2) (S^T Omega S - Omega) D^(1/2)||_F of its kappa; see ``verify``.
+    ||D^(1/2) (S^T Omega S - Omega) D^(1/2)||_F of its kappa, and the
+    computed norm is raised by the rounding bound of forming that product;
+    see ``verify``.
     """
 
     symplectic_residual: float
@@ -183,18 +185,26 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
 
     ``tol`` is the off-block convergence threshold only: a pair whose
     off-block max-norm is at most tol is not pivoted.  V must pass the
-    package's symmetry rule and its vacuum rule kappa_min >= 1 - COUPLING_TOL.
+    package's symmetry rule, and V is validated once.  No spectrum is
+    computed beforehand: the vacuum rule kappa_min >= 1 - COUPLING_TOL is
+    judged on the sorted kappa that the sweeps leave, the kappa that would
+    be returned, converged or not.
 
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
         the sorted diagonal parameters.  When max_sweeps is exhausted the
-        partial result is returned with ``converged=False``.  An exception
-        raised by a pivot carries the pivots done before it as ``err.trace``,
-        a JacobiTrace with ``converged=False``.
+        partial result is returned with ``converged=False``.
+
+    Raises:
+        InvalidCovarianceError: V is not a valid covariance matrix, a
+            single-mode block or a pivot's 4x4 block is not positive
+            definite, or the returned kappa would break the vacuum rule
+            (a singular V leaves kappa_min near 0).  The vacuum rejection
+            names kappa_min and carries the finished run as ``err.trace``.
+            An exception raised by a pivot carries the pivots done before
+            it as ``err.trace``, a JacobiTrace with ``converged=False``.
     """
     V = validate_covariance(V)
-    if not check_physical(V):
-        raise InvalidCovarianceError("matrix is not a physical covariance matrix")
     n = V.shape[0] // 2
     W, locs, m = _local_normal_form(V)
     S = np.zeros_like(V)
@@ -202,18 +212,12 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
         S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
     steps = []
     sweep_off_max = []
-    initial_profit = float(np.prod(m))
+    initial_profit = math.prod(m.tolist())
     factors = [_sqrt_det(*W[s, s].ravel().tolist()) for s in map(mode_slice, range(1, n + 1))]
     pair_ids = _pair_index(n)
 
     def trace(converged, off_max):
-        return JacobiTrace(
-            steps=steps,
-            sweeps=sweeps,
-            converged=converged,
-            initial_profit=initial_profit,
-            sweep_off_max=off_max,
-        )
+        return JacobiTrace(steps, sweeps, converged, initial_profit, off_max)
 
     sweeps = 0
     pivoted = True
@@ -248,6 +252,12 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
     d = W.diagonal()
     kappa = np.sort(0.5 * (d[0::2] + d[1::2]))
+    if not _above_vacuum(kappa[0]):
+        err = InvalidCovarianceError(
+            f"matrix is not a physical covariance matrix: kappa_min = {kappa[0]} is below 1"
+        )
+        err.trace = trace(converged, sweep_off_max)
+        raise err
     return S, kappa, trace(converged, sweep_off_max)
 
 
@@ -437,9 +447,15 @@ def verify(S, kappa, m) -> VerifyReport:
     E = S^T Omega S - Omega; Weyl's inequality for singular values (Horn
     and Johnson, Topics in Matrix Analysis, Thm 3.3.16) then bounds each
     |kappa'_j - kappa_j| by ||D^(1/2) E D^(1/2)||_2 <= ||D^(1/2) E D^(1/2)||_F,
-    the value reported.  E is formed in floating point, so the bound holds
-    up to that product's own round-off.  It scales with kappa, and no
-    factorization runs.
+    the value computed.  E is formed in floating point, so the reported
+    value adds the a-priori rounding bound of that product: for Q and P the
+    q and p rows of S D^(1/2), the computed E errs by at most
+    gamma_(n+2) (|Q|^T |P| + |P|^T |Q|) entrywise, gamma_k = k u / (1 - k u)
+    for the unit round-off u, so the scaled error has Frobenius norm at most
+    2 gamma_(n+2) ||Q||_F ||P||_F, read from the diagonal-block sums at O(n)
+    cost.  Where E cancels to about zero (an exact synthesis) this term is
+    the whole bound.  The bound scales with kappa, and no factorization
+    runs.
     """
     S = np.asarray(S, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
@@ -461,7 +477,10 @@ def verify(S, kappa, m) -> VerifyReport:
     r = np.sqrt(d)
     E *= r[:, None]
     E *= r
-    res_spec = math.sqrt(float(np.vdot(E, E)))
+    # E's rounding bound: sum(d0), sum(d1) are ||Q||_F^2, ||P||_F^2 (see the docstring)
+    g = (n + 2) * 2.0**-53
+    rounding = 2.0 * g / (1.0 - g) * math.sqrt(d0.sum()) * math.sqrt(d1.sum())
+    res_spec = math.sqrt(float(np.vdot(E, E))) + rounding
     tol_s = VERIFY_TOL * (1.0 + max(kappa[-1], m[-1]))
     ok = bool(res_symp <= VERIFY_TOL and res_diag <= tol_s and res_spec <= tol_s)
     return VerifyReport(

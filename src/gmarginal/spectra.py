@@ -105,16 +105,20 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
     because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
     """
     V, L, A = _chol_form(V)
-    P, G, kappa, label = _normal_basis(A)
+    P, G, kappa, label, scale = _normal_basis(A)
     n = kappa.size
     N = G @ P.T
     del G  # each 2n x 2n buffer freed early keeps the peak memory down
     N -= N.T  # twice the antisymmetrized N; the 1/2 is folded into u
     # X = Y - Y^T: block (i, j) of Y is J E_ij / 2 (1/(k_i - k_j) + 1/(k_i + k_j))
     # = J E_ij k_i / (k_i^2 - k_j^2) between clusters and 0 inside one, and
-    # Omega N holds every J E_ij
-    k = kappa[:, None]
-    u = np.divide(0.5 * k, (k - kappa) * (k + kappa), out=np.zeros((n, n)), where=label[:, None] != label)
+    # Omega N holds every J E_ij.  u is homogeneous of degree -1 in kappa, so it is
+    # formed on kappa times A's power-of-two scale, which keeps (k_i - k_j)(k_i + k_j)
+    # in range, and scaled back; in the normal range that is exact
+    ks = kappa * scale
+    k = ks[:, None]
+    u = np.divide(0.5 * k, (k - ks) * (k + ks), out=np.zeros((n, n)), where=label[:, None] != label)
+    u *= scale
     Y = _omega_rows(N)
     del N
     Y.reshape(n, 2, 2 * n)[...] *= np.repeat(u, 2, axis=1)[:, None, :]
@@ -131,10 +135,11 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
 
 
 def _normal_basis(A: np.ndarray):
-    """(P, G, kappa, label): the one kappa kernel, on A = L^T Omega L.
+    """(P, G, kappa, label, scale): the one kappa kernel, on A = L^T Omega L.
 
     1. ``eigh`` of A^T A = -A^2 (eigenvalues kappa_j^2, each twice; formed
-       from A scaled by a power of two, so kappa^2 stays in range) gives an
+       from A times ``scale``, the power of two that brings max |A| into
+       [1/2, 1), so kappa^2 stays in range) gives an
        orthogonal O, and P = O^T, G = P A.  N = G P^T is block diagonal over
        the clusters of tied kappa (gaps at most FACTOR_TOL * kappa_n, cluster
        ``label`` per pair) up to round-off.
@@ -153,7 +158,8 @@ def _normal_basis(A: np.ndarray):
     Raises:
         NumericalError: a computed kappa is not positive.
     """
-    As = A * 2.0 ** -np.frexp(np.max(np.abs(A)))[1]  # exact rescale: no over- or underflow in A^T A
+    scale = 2.0 ** -np.frexp(np.max(np.abs(A)))[1]
+    As = A * scale  # exact rescale: no over- or underflow in A^T A
     w, O = np.linalg.eigh(As.T @ As)  # clusters are found from kappa ratios only
     P = O.T  # rows are O's columns, so a cluster's basis vectors are a block of rows
     G = P @ A
@@ -178,7 +184,7 @@ def _normal_basis(A: np.ndarray):
     kappa = 0.5 * np.einsum("ij,ij->i", G[0::2], P[1::2]) - 0.5 * np.einsum("ij,ij->i", G[1::2], P[0::2])
     if not np.min(kappa) > 0.0:
         raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
-    return P, G, kappa, label
+    return P, G, kappa, label, scale
 
 
 def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:
