@@ -27,7 +27,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _above_vacuum, _within_slack, dominates
+from .spectra import _above_vacuum, _within_slack, check_physical, dominates
 from .symplectic import (
     DEFAULT_TOL,
     VERIFY_TOL,
@@ -185,10 +185,13 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
 
     ``tol`` is the off-block convergence threshold only: a pair whose
     off-block max-norm is at most tol is not pivoted.  V must pass the
-    package's symmetry rule, and V is validated once.  No spectrum is
-    computed beforehand: the vacuum rule kappa_min >= 1 - COUPLING_TOL is
-    judged on the sorted kappa that the sweeps leave, the kappa that would
-    be returned, converged or not.
+    package's symmetry rule, and a converged run validates V once.  No
+    spectrum is computed beforehand: when the run converges, the vacuum
+    rule kappa_min >= 1 - COUPLING_TOL is judged on the sorted kappa that
+    the sweeps leave, the kappa that is returned.  When max_sweeps stops
+    the run first, that diagonal only bounds kappa_min from above, so the
+    rule is judged on the dense spectrum of V (``check_physical``), the one
+    path that calls np.linalg.
 
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
@@ -198,9 +201,10 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, a
             single-mode block or a pivot's 4x4 block is not positive
-            definite, or the returned kappa would break the vacuum rule
-            (a singular V leaves kappa_min near 0).  The vacuum rejection
-            names kappa_min and carries the finished run as ``err.trace``.
+            definite, or V breaks the vacuum rule as judged above (a
+            singular V leaves kappa_min near 0).  A vacuum rejection carries
+            the finished run as ``err.trace``, and names kappa_min when the
+            run converged.
             An exception raised by a pivot carries the pivots done before
             it as ``err.trace``, a JacobiTrace with ``converged=False``.
     """
@@ -217,7 +221,13 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     pair_ids = _pair_index(n)
 
     def trace(converged, off_max):
-        return JacobiTrace(steps, sweeps, converged, initial_profit, off_max)
+        return JacobiTrace(
+            steps=steps,
+            sweeps=sweeps,
+            converged=converged,
+            initial_profit=initial_profit,
+            sweep_off_max=off_max,
+        )
 
     sweeps = 0
     pivoted = True
@@ -252,13 +262,18 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
     d = W.diagonal()
     kappa = np.sort(0.5 * (d[0::2] + d[1::2]))
-    if not _above_vacuum(kappa[0]):
+    # a truncated run's diagonal only bounds kappa_min from above, so the
+    # dense spectrum of V judges it instead
+    if not converged and not check_physical(V):
+        err = InvalidCovarianceError("matrix is not a physical covariance matrix")
+    elif not _above_vacuum(kappa[0]):
         err = InvalidCovarianceError(
             f"matrix is not a physical covariance matrix: kappa_min = {kappa[0]} is below 1"
         )
-        err.trace = trace(converged, sweep_off_max)
-        raise err
-    return S, kappa, trace(converged, sweep_off_max)
+    else:
+        return S, kappa, trace(converged, sweep_off_max)
+    err.trace = trace(converged, sweep_off_max)
+    raise err
 
 
 def synthesize(kappa, m):

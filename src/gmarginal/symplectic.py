@@ -224,21 +224,26 @@ def local_parameters(V: np.ndarray) -> np.ndarray:
 def _local_parameters(V: np.ndarray) -> np.ndarray:
     """Body of ``local_parameters`` for a V that ``validate_covariance`` returned.
 
-    Each block [[a, c], [c, b]] (V is exactly symmetric) is scaled by the
-    power of two 2^-e that brings its largest |entry| into [1/2, 1), so its
-    det neither over- nor underflows, and m_j = 2^e sqrt(det of the scaled
-    block).  In the normal range the scaling is exact, so m is the unscaled
-    formula's bit for bit.
+    Each block [[a, c], [c, b]] (V is exactly symmetric) is scaled entry by
+    entry: a by 2^-ea and b by 2^-eb, the powers of two that bring them into
+    [1/4, 1) (ea + eb even), and c by 2^-(ea + eb)/2.  That scales det by
+    2^-(ea + eb), so it neither over- nor underflows however unequal a and b
+    are, and m_j = 2^((ea + eb)/2) sqrt(det of the scaled block).  In the
+    normal range the scaling is exact, so m is the unscaled formula's bit for
+    bit.
     """
     d = V.diagonal()
     a, b, c = d[0::2], d[1::2], V.diagonal(1)[0::2]
-    e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))[1]
-    a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)
-    det = a * b - c * c
+    ea, eb = np.frexp(a)[1], np.frexp(b)[1]
+    ea += (ea + eb) & 1
+    h = (ea + eb) // 2
+    with np.errstate(over="ignore"):  # only a c far above sqrt(a b) overflows
+        c = np.ldexp(c, -h)
+        det = np.ldexp(a, -ea) * np.ldexp(b, -eb) - c * c
     bad = np.flatnonzero((det <= 0.0) | (a <= 0.0))
     if bad.size:
         raise InvalidCovarianceError(f"single-mode block {bad[0] + 1} is not positive definite")
-    return np.ldexp(np.sqrt(det), e)
+    return np.ldexp(np.sqrt(det), h)
 
 
 def _spd_roots(x0, xk, x1):

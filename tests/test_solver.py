@@ -142,22 +142,12 @@ class TestJacobi:
         assert abs(profits[-1] - floor) < 1e-8 * floor
 
     def test_final_profit_matches_recomputed_blocks(self):
-        """Within the round-off of recomputing the blocks of S V S^T.
-
-        Mode j's block sums terms of size up to ||s_j||^2 ||V|| for s_j its
-        two rows of S, so its m_j is good to about eps ||s_j||^2 ||V|| / m_j
-        relative, and the product to the sum of those.  (At n = 5, cond(V)
-        8e5, the misses run from 2e-13 to 2e-12 across BLAS kernels.)
-        """
         for trial in range(6):
             n = 2 + trial
             V, _, _ = gm.random_state(n, seed=510 + trial)
             S, _, trace = gm.jacobi_decompose(V)
-            m = local_params(S @ V @ S.T)
-            rows = np.sum(S * S, axis=1)
-            cond = np.sum((rows[0::2] + rows[1::2]) * np.linalg.norm(V, 2) / m)
-            expect = np.prod(m)
-            assert abs(trace.steps[-1].profit - expect) <= np.finfo(float).eps * cond * expect
+            expect = np.prod(local_params(S @ V @ S.T))
+            assert abs(trace.steps[-1].profit - expect) <= 1e-12 * expect
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidCovarianceError):
@@ -170,6 +160,19 @@ class TestJacobi:
             gm.jacobi_decompose(0.9 * coupled_pair(ch, ch, sh, -sh))
         trace = info.value.trace
         assert trace.converged and [s.pair for s in trace.steps] == [(1, 2)]
+
+    @pytest.mark.parametrize(
+        "V",
+        [coupled_pair(1.0, 1.0, 2.0, 0.0), coupled_pair(1.0, 1.0, 0.5, 0.5)],
+        ids=["indefinite", "kappa-half"],
+    )
+    @pytest.mark.parametrize("max_sweeps", [0, 1])
+    def test_truncated_run_rejects_unphysical(self, V, max_sweeps):
+        """Cut before convergence, the diagonal bounds kappa_min only from
+        above (at max_sweeps = 0 it is the identity's), so V itself is judged."""
+        with pytest.raises(InvalidCovarianceError) as info:
+            gm.jacobi_decompose(V, max_sweeps=max_sweeps)
+        assert isinstance(info.value.trace, solver.JacobiTrace)
 
     @pytest.mark.parametrize("e", range(3, 9))
     def test_vacuum_rule_reads_the_returned_kappa(self, e):

@@ -281,12 +281,15 @@ class TestEdgeStates:
 
 @pytest.mark.parametrize("e", [-300, -200, -160, 0, 160, 200, 300])
 def test_every_finite_scale(e):
-    """diag(10^e, 10^e, 2 10^e, 2 10^e): no over- or underflow at any scale.
+    """diag(10^e, 10^e, 2 10^e, 2 10^e) and the squeezed vacuum
+    diag(10^e, 10^-e): no over- or underflow at any scale or squeezing.
 
     Without the power-of-two scaling, local_parameters overflows from
     e = 160 and underflows to a non-positive det from e = -200 (and loses
     digits to subnormals at e = -160), and williamson's cluster correction
-    overflows from e = 160 and divides by zero from e = -200.
+    overflows from e = 160 and divides by zero from e = -200.  Scaling a
+    block by its largest entry alone underflows the squeezed vacuum's small
+    diagonal entry from e = 160.
     """
     c = 10.0**e
     V = np.diag([c, c, 2.0 * c, 2.0 * c])
@@ -295,6 +298,10 @@ def test_every_finite_scale(e):
     fac = gm.williamson(V)
     assert np.allclose(fac.kappa / c, [1.0, 2.0], rtol=1e-15, atol=0)
     assert fac.factor_residual <= 1e-15 * c and fac.symplectic_residual <= 1e-15
+    squeezed = np.diag([c, 1.0 / c])
+    for m in (gm.local_parameters(squeezed), gm.symplectic_spectrum(squeezed)):
+        assert np.allclose(m, [1.0], rtol=1e-15, atol=0)
+    assert np.allclose(gm.williamson(squeezed).kappa, [1.0], rtol=1e-15, atol=0)
 
 
 # positive diagonal but indefinite, and singular positive semidefinite:
