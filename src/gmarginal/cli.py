@@ -189,8 +189,8 @@ def run_decompose(matrix_path) -> int:
     doc = _certificate_doc(cert)
     doc["compatible"] = compatible
     doc = {
-        "kappa": np.sort(kappa),
-        "m": np.sort(m),
+        "kappa": cert.kappa_sorted,
+        "m": cert.m_sorted,
         "certificate": doc,
     }
     _emit(doc)

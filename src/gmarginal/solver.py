@@ -31,11 +31,13 @@ from .spectra import _above_vacuum, _within_slack, check_physical, dominates
 from .symplectic import (
     DEFAULT_TOL,
     VERIFY_TOL,
+    _block_roots,
     _bs_block,
-    _sq_block,
     _local_normal_form,
     _omega_gram,
     _positive_finite,
+    _spd_roots,
+    _sq_block,
     _subtract_omega,
     _symplectic_residual,
     mode_slice,
@@ -138,11 +140,6 @@ def _row_off_max(W, j):
     return np.maximum(a[0::2], a[1::2]).tolist()
 
 
-def _sqrt_det(b00, b01, b10, b11):
-    """sqrt(det) of the 2x2 block [[b00, b01], [b10, b11]], clipped at zero."""
-    return math.sqrt(max(b00 * b11 - b01 * b10, 0.0))
-
-
 def _apply_pair(W, S, T4, ids, rows):
     """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on the rows ids.
 
@@ -184,14 +181,16 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     work, and a sweep over all pairs costs O(n^3).
 
     ``tol`` is the off-block convergence threshold only: a pair whose
-    off-block max-norm is at most tol is not pivoted.  V must pass the
-    package's symmetry rule, and a converged run validates V once.  No
-    spectrum is computed beforehand: when the run converges, the vacuum
-    rule kappa_min >= 1 - COUPLING_TOL is judged on the sorted kappa that
-    the sweeps leave, the kappa that is returned.  When max_sweeps stops
-    the run first, that diagonal only bounds kappa_min from above, so the
-    rule is judged on the dense spectrum of V (``check_physical``), the one
-    path that calls np.linalg.
+    off-block max-norm is at most tol is not pivoted.  It is absolute, so
+    4^e V with tol 4^e tol pivots the same pairs and returns the same S
+    and 4^e kappa; the profit, a product of n local parameters, may then
+    overflow to inf.  V must pass the package's symmetry rule, and a
+    converged run validates V once.  No spectrum is computed beforehand:
+    when the run converges, the vacuum rule kappa_min >= 1 - COUPLING_TOL
+    is judged on the sorted kappa that the sweeps leave, the kappa that is
+    returned.  When max_sweeps stops the run first, that diagonal only
+    bounds kappa_min from above, so the rule is judged on the dense
+    spectrum of V (``check_physical``), the one path that calls np.linalg.
 
     Returns:
         (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
@@ -217,7 +216,7 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     steps = []
     sweep_off_max = []
     initial_profit = math.prod(m.tolist())
-    factors = [_sqrt_det(*W[s, s].ravel().tolist()) for s in map(mode_slice, range(1, n + 1))]
+    factors = [d for _, _, d in _block_roots(W)]
     pair_ids = _pair_index(n)
 
     def trace(converged, off_max):
@@ -249,8 +248,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                     rows = W.take(ids, axis=0)
                     T4 = _pivot_factor(rows.take(ids, axis=1))
                     P = _apply_pair(W, S, T4, ids, rows).tolist()
-                    factors[j - 1] = _sqrt_det(P[0][0], P[0][1], P[1][0], P[1][1])
-                    factors[k - 1] = _sqrt_det(P[2][2], P[2][3], P[3][2], P[3][3])
+                    factors[j - 1] = _spd_roots(P[0][0], P[0][1], P[1][1])[2]
+                    factors[k - 1] = _spd_roots(P[2][2], P[2][3], P[3][3])[2]
                     steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
                     offs = _row_off_max(W, j)
             sweep_off_max.append(worst)

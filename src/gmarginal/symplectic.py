@@ -214,52 +214,55 @@ def validate_covariance(V: np.ndarray) -> np.ndarray:
 def local_parameters(V: np.ndarray) -> np.ndarray:
     """Local parameters m_j = sqrt(det B_j) of the single-mode blocks, in mode order.
 
+    Each m_j is the d of one ``_spd_roots`` call, so every finite positive
+    definite block is accepted, at any scale and however unequal its
+    diagonal entries.
+
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, or a
             single-mode block is not positive definite.
     """
-    return _local_parameters(validate_covariance(V))
+    return np.array([d for _, _, d in _block_roots(validate_covariance(V))])
 
 
-def _local_parameters(V: np.ndarray) -> np.ndarray:
-    """Body of ``local_parameters`` for a V that ``validate_covariance`` returned.
-
-    Each block [[a, c], [c, b]] (V is exactly symmetric) is scaled entry by
-    entry: a by 2^-ea and b by 2^-eb, the powers of two that bring them into
-    [1/4, 1) (ea + eb even), and c by 2^-(ea + eb)/2.  That scales det by
-    2^-(ea + eb), so it neither over- nor underflows however unequal a and b
-    are, and m_j = 2^((ea + eb)/2) sqrt(det of the scaled block).  In the
-    normal range the scaling is exact, so m is the unscaled formula's bit for
-    bit.
-    """
+def _block_roots(V: np.ndarray) -> list:
+    """``_spd_roots`` of each single-mode block of an exactly symmetric V, in mode order."""
     d = V.diagonal()
-    a, b, c = d[0::2], d[1::2], V.diagonal(1)[0::2]
-    ea, eb = np.frexp(a)[1], np.frexp(b)[1]
-    ea += (ea + eb) & 1
-    h = (ea + eb) // 2
-    with np.errstate(over="ignore"):  # only a c far above sqrt(a b) overflows
-        c = np.ldexp(c, -h)
-        det = np.ldexp(a, -ea) * np.ldexp(b, -eb) - c * c
-    bad = np.flatnonzero((det <= 0.0) | (a <= 0.0))
-    if bad.size:
-        raise InvalidCovarianceError(f"single-mode block {bad[0] + 1} is not positive definite")
-    return np.ldexp(np.sqrt(det), h)
+    blocks = zip(d[0::2].tolist(), V.diagonal(1)[0::2].tolist(), d[1::2].tolist())
+    return [_spd_roots(x0, xk, x1, j) for j, (x0, xk, x1) in enumerate(blocks, 1)]
 
 
-def _spd_roots(x0, xk, x1):
+def _spd_roots(x0, xk, x1, block=None):
     """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
 
     Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
     with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Both roots are
     symmetric, so each comes back as the flat triple (r00, r01, r11).
-    Returns (root, inv_root, d).
+    Returns (root, inv_root, d).  This is the package's one 2x2 determinant.
+
+    When det X leaves [2^-600, 2^600] (it over- or underflows far sooner
+    than the entries do), the roots are taken once of 4^-s X, with s from
+    the binary exponents of x0 and x1, and scaled back: the root by 2^s,
+    the inverse root by 2^-s and d by 4^s.  Power-of-two scaling commutes
+    with every operation here, so the result is the unscaled formula's bit
+    for bit wherever that formula stays in range, and exactly scale
+    equivariant beyond it.
 
     Raises:
-        InvalidCovarianceError: X is not positive definite.
+        InvalidCovarianceError: X is not positive definite; the message
+            names single-mode block ``block`` when one is given.
     """
     det = x0 * x1 - xk * xk
+    if not 2.0**-600 <= det <= 2.0**600:
+        s = (math.frexp(x0)[1] + math.frexp(x1)[1]) // 4
+        if s:
+            root, inv_root, d = _spd_roots(*(math.ldexp(x, -2 * s) for x in (x0, xk, x1)), block)
+            root = tuple(math.ldexp(r, s) for r in root)
+            inv_root = tuple(math.ldexp(r, -s) for r in inv_root)
+            return root, inv_root, math.ldexp(d, 2 * s)
     if x0 <= 0.0 or det <= 0.0:
-        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
+        what = "two-mode covariance matrix" if block is None else f"single-mode block {block}"
+        raise InvalidCovarianceError(f"{what} is not positive definite")
     d = math.sqrt(det)
     t = math.sqrt(x0 + x1 + 2.0 * d)
     u = 1.0 / (t * d)
@@ -269,9 +272,11 @@ def _spd_roots(x0, xk, x1):
 def local_normal_form(V: np.ndarray):
     """Bring every single-mode block to an isotropic multiple of the identity.
 
-    L_j = sqrt(m_j) B_j^(-1/2) comes from the closed-form root ``_spd_roots``,
-    step 0 of the two-mode kernel ``two_mode._pivot_factor``, so no
-    eigensolver runs; L acts block by block on rows, then columns.
+    L_j = sqrt(m_j) B_j^(-1/2) and m_j come from one closed-form root
+    ``_spd_roots`` per mode, step 0 of the two-mode kernel
+    ``two_mode._pivot_factor``, so no eigensolver runs and every finite
+    positive definite V is accepted, at any scale; L acts block by block on
+    rows, then columns.
 
     Args:
         V: 2n x 2n covariance matrix; its symmetry is tested at DEFAULT_TOL.
@@ -280,18 +285,18 @@ def local_normal_form(V: np.ndarray):
         (V2, locals, m) where ``locals`` is a list of per-mode 2x2
         symplectics with unit determinant, ``V2 = L V L^T`` for the direct
         sum L of those blocks, every diagonal block of V2 equals m_j * I,
-        and ``m`` holds the local parameters from ``local_parameters``.
+        and ``m`` holds the local parameters, bit for bit those of
+        ``local_parameters``.
     """
     return _local_normal_form(validate_covariance(V))
 
 
 def _local_normal_form(V: np.ndarray):
     """Body of ``local_normal_form`` for a V that ``validate_covariance`` returned."""
-    m = _local_parameters(V)
     n = V.shape[0] // 2
-    d = V.diagonal()
-    blocks = zip(d[0::2].tolist(), V.diagonal(1)[0::2].tolist(), d[1::2].tolist())
-    inv_roots = np.array([_spd_roots(*b)[1] for b in blocks])  # (r00, r01, r11) per mode
+    roots = _block_roots(V)
+    inv_roots = np.array([r for _, r, _ in roots])  # (r00, r01, r11) per mode
+    m = np.array([d for _, _, d in roots])
     L = inv_roots[:, [0, 1, 1, 2]].reshape(n, 2, 2) * np.sqrt(m)[:, None, None]
     rows = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
     V2 = (L @ rows.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T

@@ -139,8 +139,7 @@ def standard_form(V4):
     ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
     # the standard shape is X (+) P on the q and p quadratures, and
     # k_x >= |k_p|, so X positive definite implies P positive definite
-    if not ma * mb - kx * kx > 0.0:
-        raise InvalidCovarianceError("two-mode covariance matrix is not positive definite")
+    _spd_roots(ma, kx, mb)
     m1, m2 = sorted((ma, mb))
     form = TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp)
     return form, [np.array(G1).reshape(2, 2), np.array(G2).reshape(2, 2)]
@@ -195,7 +194,10 @@ def _pivot_factor(M4):
     psi, big, _, chi = _svd2(  # K = X^(1/2) P^(1/2)
         xh0 * ph0 + xh1 * ph1, xh0 * ph1 + xh1 * ph2, xh1 * ph0 + xh2 * ph1, xh1 * ph1 + xh2 * ph2
     )
-    small = dx * dp / big
+    # dx dp / big, with big's power of two taken out of dp and big first so
+    # that the product dx dp cannot overflow
+    e = math.frexp(big)[1]
+    small = dx * math.ldexp(dp, -e) / math.ldexp(big, -e)
     if not small > 0.0:
         raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
     # U = R(psi) and W = R(chi)^T with their columns swapped, so that the

@@ -296,8 +296,10 @@ class TestRandomCommand:
         [
             (["--modes", "0"], "error: mode count must be a positive integer\n"),
             (["--modes", "2", "--kappa-min", "0.5"], "error: the lower end of kappa_range must be at least 1\n"),
+            (["--modes", "2", "--kappa-min", "3", "--kappa-max", "2"],
+             "error: kappa_range must be a nondecreasing interval\n"),
         ],
-        ids=["modes-0", "kappa-min-0.5"],
+        ids=["modes-0", "kappa-min-0.5", "kappa-max-below-min"],
     )
     def test_argument_error_message(self, capsys, argv, err):
         assert main(["random", "--seed", "1", *argv]) == 2
@@ -403,6 +405,10 @@ class TestInputErrors:
     def test_dumps_rejects_non_finite(self):
         with pytest.raises(NumericalError, match="^cannot serialize a non-finite number$"):
             dumps({"x": [1.0, float("nan")]})
+
+    def test_dumps_rejects_unsupported_type(self):
+        with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+            dumps({"x": [1.0, object()]})
 
 
 def child_env():

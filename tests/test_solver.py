@@ -782,6 +782,29 @@ def test_synthesis_is_scale_equivariant(case):
         assert gm.verify(S, c * kappa, c * m).ok, e
 
 
+@pytest.mark.parametrize("e", [0, 40, 130, 250, 500])
+def test_jacobi_is_scale_equivariant(e):
+    """V -> 4^e V with tol -> 4^e tol scales kappa by 4^e and leaves S bitwise alone.
+
+    Every 2x2 determinant comes from ``_spd_roots``, which rescales it by a
+    power of four when it leaves the double range, and the pivot's
+    dx dp / big takes big's power of two out first, so the run pivots the
+    same pairs at every scale.  The profit, a product of n local
+    parameters, may overflow to inf, but no trace field is NaN.
+    """
+    V, _ = bloch_messiah_state(np.random.default_rng(6), 6)
+    S0, kappa0, trace0 = gm.jacobi_decompose(V)
+    c = 4.0**e
+    S, kappa, trace = gm.jacobi_decompose(c * V, tol=c * DEFAULT_TOL)
+    assert trace.converged and len(trace.steps) == len(trace0.steps) > 0
+    assert np.array_equal(S, S0)
+    assert np.array_equal(kappa, c * kappa0)
+    assert [s.pair for s in trace.steps] == [s.pair for s in trace0.steps]
+    fields = [trace.initial_profit, *trace.sweep_off_max]
+    fields += [v for s in trace.steps for v in (s.off_norm, s.profit)]
+    assert not np.isnan(fields).any()
+
+
 class TestJacobiProperties:
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))

@@ -289,7 +289,9 @@ def test_every_finite_scale(e):
     digits to subnormals at e = -160), and williamson's cluster correction
     overflows from e = 160 and divides by zero from e = -200.  Scaling a
     block by its largest entry alone underflows the squeezed vacuum's small
-    diagonal entry from e = 160.
+    diagonal entry from e = 160.  Without the rescale in ``_spd_roots``,
+    local_normal_form returns NaN from e = 155, and jacobi_decompose reads
+    that NaN as a coupling to pivot and raises NumericalError.
     """
     c = 10.0**e
     V = np.diag([c, c, 2.0 * c, 2.0 * c])
@@ -298,6 +300,15 @@ def test_every_finite_scale(e):
     fac = gm.williamson(V)
     assert np.allclose(fac.kappa / c, [1.0, 2.0], rtol=1e-15, atol=0)
     assert fac.factor_residual <= 1e-15 * c and fac.symplectic_residual <= 1e-15
+    W, locs, m = gm.local_normal_form(V)
+    assert np.isfinite(W).all()
+    assert all(abs(np.linalg.det(L) - 1.0) <= 1e-15 for L in locs)
+    assert np.array_equal(m, gm.local_parameters(V))
+    if e >= 0:
+        assert np.allclose(gm.jacobi_decompose(V)[1] / c, [1.0, 2.0], rtol=1e-15, atol=0)
+    else:  # kappa = c (1, 2) is below the vacuum value
+        with pytest.raises(InvalidCovarianceError, match="kappa_min = .* is below 1$"):
+            gm.jacobi_decompose(V)
     squeezed = np.diag([c, 1.0 / c])
     for m in (gm.local_parameters(squeezed), gm.symplectic_spectrum(squeezed)):
         assert np.allclose(m, [1.0], rtol=1e-15, atol=0)

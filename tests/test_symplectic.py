@@ -21,6 +21,8 @@ def test_symplectic_form_structure():
         # mode blocks are the canonical 2x2 form, cross blocks vanish
         assert np.array_equal(Om[0:2, 0:2], np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert off_block_max(Om) == 0.0
+    with pytest.raises(ValueError, match="^mode count must be a positive integer$"):
+        gm.symplectic_form(0)
 
 
 def test_mode_slice_is_one_based():
@@ -135,6 +137,10 @@ class TestGenerators:
             gm.expand_two_mode(S4, 0, 1, 3)
         with pytest.raises(ValueError):
             gm.expand_two_mode(S4, 1, 4, 3)
+        with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+            gm.expand_two_mode(np.eye(2), 1, 2, 3)
+        with pytest.raises(ValueError, match="^a two-mode generator needs at least two modes$"):
+            gm.beam_splitter_pair(0.3, 1, 2, 1)
 
 
 class TestValidateCovariance:
@@ -151,6 +157,8 @@ class TestValidateCovariance:
     def test_rejects_odd_dimension_and_nonfinite(self):
         with pytest.raises(InvalidCovarianceError):
             gm.validate_covariance(np.eye(3))
+        with pytest.raises(InvalidCovarianceError, match="^covariance matrix must be square$"):
+            gm.validate_covariance(np.ones((2, 4)))
         V = np.eye(4)
         V[0, 0] = np.nan
         with pytest.raises(InvalidCovarianceError):

@@ -129,6 +129,25 @@ class TestStandardForm:
         with pytest.raises(InvalidCovarianceError):
             gm.standard_form(form_matrix(1.0, 1.0, 1.2, 0.0))
 
+    @pytest.mark.parametrize("e", [-480, -300, 260, 480])
+    def test_every_finite_scale(self, e):
+        """4^e V4 has the form 4^e times that of V4 and the same locals, bit for bit.
+
+        Without the rescale in ``_spd_roots``, det X of the standard shape
+        over- or underflows here and V4 is reported as not positive definite.
+        """
+        V4 = gm.random_state(2, seed=3)[0]
+        form0, locs0 = gm.standard_form(V4)
+        c = 4.0**e
+        form, locs = gm.standard_form(c * V4)
+        assert (form.m1, form.m2, form.k_x, form.k_p) == (
+            c * form0.m1,
+            c * form0.m2,
+            c * form0.k_x,
+            c * form0.k_p,
+        )
+        assert all(np.array_equal(L, L0) for L, L0 in zip(locs, locs0))
+
 
 class TestSolveCouplings:
     def test_known_example(self):
