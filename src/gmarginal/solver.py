@@ -27,7 +27,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _above_vacuum, _within_slack, check_physical, dominates
+from .spectra import _above_vacuum, _within_slack, dominates
 from .symplectic import (
     DEFAULT_TOL,
     VERIFY_TOL,
@@ -45,6 +45,10 @@ from .symplectic import (
 )
 from .two_mode import _pivot_factor, bs_param, pair_factor, sq_param
 
+#: Sweep budget of ``jacobi_decompose``; a run still pivoting after it raises.
+#: Read at call time, so a test can lower it.
+_MAX_SWEEPS = 100
+
 
 @dataclass(frozen=True)
 class JacobiStep:
@@ -58,7 +62,12 @@ class JacobiStep:
 @dataclass(frozen=True)
 class JacobiTrace:
     """Pivots in order; sweep_off_max[s] is the largest off-block max-norm
-    that the skip tests of sweep s + 1 read."""
+    that the skip tests of sweep s + 1 read.
+
+    A returned trace has ``converged`` True.  The trace that an error
+    carries as ``err.trace`` has it True only when the run converged and
+    its kappa broke the vacuum rule.
+    """
 
     steps: list
     sweeps: int
@@ -151,7 +160,7 @@ def _apply_pair(W, S, T4, ids, rows):
     """
     rows = T4 @ rows
     block = rows.take(ids, axis=1) @ T4.T
-    block = 0.5 * (block + block.T)
+    block = 0.5 * block + 0.5 * block.T  # halved first: a sum could overflow
     W[ids] = rows
     W[:, ids] = rows.T
     W[ids[:, None], ids] = block
@@ -159,7 +168,7 @@ def _apply_pair(W, S, T4, ids, rows):
     return block
 
 
-def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
+def jacobi_decompose(V, tol: float = DEFAULT_TOL):
     """Diagonalize a physical covariance matrix by cyclic two-mode pivots.
 
     Each pivot applies the inverse normal-form factor of the pair's 4x4
@@ -169,7 +178,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     rotations of the off-block, closed-form 2x2 roots and SVD), so a pivot
     calls no eigensolver.  The profit prod_j sqrt(det B_j) strictly
     decreases at every pivot and is bounded below by sqrt(det V), which
-    forces convergence.
+    forces convergence; a run that does not converge within ``_MAX_SWEEPS``
+    sweeps has failed numerically and raises.
 
     The pairs (j, k), k > j, are visited row by row.  Each row j reads the
     off-block max-norms of mode j against all modes at once, and rereads
@@ -184,28 +194,27 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     off-block max-norm is at most tol is not pivoted.  It is absolute, so
     4^e V with tol 4^e tol pivots the same pairs and returns the same S
     and 4^e kappa; the profit, a product of n local parameters, may then
-    overflow to inf.  V must pass the package's symmetry rule, and a
-    converged run validates V once.  No spectrum is computed beforehand:
-    when the run converges, the vacuum rule kappa_min >= 1 - COUPLING_TOL
-    is judged on the sorted kappa that the sweeps leave, the kappa that is
-    returned.  When max_sweeps stops the run first, that diagonal only
-    bounds kappa_min from above, so the rule is judged on the dense
-    spectrum of V (``check_physical``), the one path that calls np.linalg.
+    overflow to inf.  V must pass the package's symmetry rule, and a run
+    validates V once.  No spectrum is computed: the vacuum rule
+    kappa_min >= 1 - COUPLING_TOL is judged once, on the sorted kappa
+    that the converged sweeps leave, the kappa that is returned.
 
     Returns:
-        (S, kappa, JacobiTrace) with S V S^T diagonal within tol and kappa
-        the sorted diagonal parameters.  When max_sweeps is exhausted the
-        partial result is returned with ``converged=False``.
+        (S, kappa, JacobiTrace) with S V S^T diagonal within tol, kappa
+        the sorted diagonal parameters and ``converged`` True.
 
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, a
             single-mode block or a pivot's 4x4 block is not positive
-            definite, or V breaks the vacuum rule as judged above (a
-            singular V leaves kappa_min near 0).  A vacuum rejection carries
-            the finished run as ``err.trace``, and names kappa_min when the
-            run converged.
-            An exception raised by a pivot carries the pivots done before
-            it as ``err.trace``, a JacobiTrace with ``converged=False``.
+            definite, or the returned kappa breaks the vacuum rule (a
+            singular V leaves kappa_min near 0); that rejection names
+            kappa_min.
+        NumericalError: an off-block is still above tol after
+            ``_MAX_SWEEPS`` sweeps, or a pivot loses accuracy.
+        Any exception raised after V is validated carries the run as
+        ``err.trace``, a JacobiTrace: ``converged`` is True only for a
+        vacuum rejection, and a run stopped inside a sweep ends
+        ``sweep_off_max`` with that sweep's largest off-block so far.
     """
     V = validate_covariance(V)
     n = V.shape[0] // 2
@@ -219,19 +228,16 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
     factors = [d for _, _, d in _block_roots(W)]
     pair_ids = _pair_index(n)
 
-    def trace(converged, off_max):
-        return JacobiTrace(
-            steps=steps,
-            sweeps=sweeps,
-            converged=converged,
-            initial_profit=initial_profit,
-            sweep_off_max=off_max,
-        )
+    def trace():
+        # a pivot error stops a sweep before its largest off-block is appended
+        off_max = sweep_off_max if len(sweep_off_max) == sweeps else [*sweep_off_max, worst]
+        return JacobiTrace(steps, sweeps, converged, initial_profit, off_max)
 
     sweeps = 0
+    converged = False
     pivoted = True
     try:
-        while pivoted and sweeps < max_sweeps:
+        while pivoted and sweeps < _MAX_SWEEPS:
             sweeps += 1
             pivoted = False
             worst = 0.0
@@ -253,26 +259,25 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL, max_sweeps: int = 100):
                     steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
                     offs = _row_off_max(W, j)
             sweep_off_max.append(worst)
+        # a sweep without a pivot has just checked every pair; rescan only
+        # when the sweep budget stopped the loop
+        if pivoted:
+            left = max((max(_row_off_max(W, j)[j:]) for j in range(1, n)), default=0.0)
+            if left > tol:
+                raise NumericalError(
+                    f"sweep budget {sweeps} exhausted: largest off-block {left:.3e} > tol {tol:.3e}"
+                )
+        converged = True
+        d = W.diagonal()
+        kappa = np.sort(0.5 * d[0::2] + 0.5 * d[1::2])
+        if not _above_vacuum(kappa[0]):
+            raise InvalidCovarianceError(
+                f"matrix is not a physical covariance matrix: kappa_min = {kappa[0]} is below 1"
+            )
     except Exception as err:
-        err.trace = trace(False, [*sweep_off_max, worst])
+        err.trace = trace()
         raise
-    # a sweep without a pivot has just checked every pair; rescan only when
-    # the sweep cap stopped the loop
-    converged = not pivoted or all(max(_row_off_max(W, j)[j:]) <= tol for j in range(1, n))
-    d = W.diagonal()
-    kappa = np.sort(0.5 * (d[0::2] + d[1::2]))
-    # a truncated run's diagonal only bounds kappa_min from above, so the
-    # dense spectrum of V judges it instead
-    if not converged and not check_physical(V):
-        err = InvalidCovarianceError("matrix is not a physical covariance matrix")
-    elif not _above_vacuum(kappa[0]):
-        err = InvalidCovarianceError(
-            f"matrix is not a physical covariance matrix: kappa_min = {kappa[0]} is below 1"
-        )
-    else:
-        return S, kappa, trace(converged, sweep_off_max)
-    err.trace = trace(converged, sweep_off_max)
-    raise err
+    return S, kappa, trace()
 
 
 def synthesize(kappa, m):
@@ -494,7 +499,14 @@ def verify(S, kappa, m) -> VerifyReport:
     # E's rounding bound: sum(d0), sum(d1) are ||Q||_F^2, ||P||_F^2 (see the docstring)
     g = (n + 2) * 2.0**-53
     rounding = 2.0 * g / (1.0 - g) * math.sqrt(d0.sum()) * math.sqrt(d1.sum())
-    res_spec = math.sqrt(float(np.vdot(E, E))) + rounding
+    # ||E||_F: where E's squares could leave the double range, E is scaled by
+    # 2^-s first and the norm by 2^s after, in two exact halves (a norm past
+    # the largest double comes out inf)
+    s = math.frexp(float(max(E.max(), -E.min())))[1]
+    s = 0 if -480 <= s <= 480 else s
+    if s:
+        E = np.ldexp(E, -s)
+    res_spec = math.sqrt(float(np.vdot(E, E))) * 2.0 ** (s // 2) * 2.0 ** (s - s // 2) + rounding
     tol_s = VERIFY_TOL * (1.0 + max(kappa[-1], m[-1]))
     ok = bool(res_symp <= VERIFY_TOL and res_diag <= tol_s and res_spec <= tol_s)
     return VerifyReport(

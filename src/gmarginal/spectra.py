@@ -109,7 +109,8 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
     n = kappa.size
     N = G @ P.T
     del G  # each 2n x 2n buffer freed early keeps the peak memory down
-    N -= N.T  # twice the antisymmetrized N; the 1/2 is folded into u
+    N *= 0.5  # halved before the difference, which could overflow near the top of the range
+    N -= N.T  # the antisymmetrized N
     # X = Y - Y^T: block (i, j) of Y is J E_ij / 2 (1/(k_i - k_j) + 1/(k_i + k_j))
     # = J E_ij k_i / (k_i^2 - k_j^2) between clusters and 0 inside one, and
     # Omega N holds every J E_ij.  u is homogeneous of degree -1 in kappa, so it is
@@ -117,7 +118,7 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
     # in range, and scaled back; in the normal range that is exact
     ks = kappa * scale
     k = ks[:, None]
-    u = np.divide(0.5 * k, (k - ks) * (k + ks), out=np.zeros((n, n)), where=label[:, None] != label)
+    u = np.divide(k, (k - ks) * (k + ks), out=np.zeros((n, n)), where=label[:, None] != label)
     u *= scale
     Y = _omega_rows(N)
     del N
@@ -187,24 +188,24 @@ def _normal_basis(A: np.ndarray):
     return P, G, kappa, label, scale
 
 
-def _above_vacuum(kappa_min, tol: float = COUPLING_TOL) -> bool:
-    """The vacuum rule kappa_min >= 1 - tol; the default allows spectral round-off."""
-    return bool(kappa_min >= 1.0 - tol)
+def _above_vacuum(kappa_min) -> bool:
+    """The package's vacuum rule kappa_min >= 1 - COUPLING_TOL, which allows spectral round-off."""
+    return bool(kappa_min >= 1.0 - COUPLING_TOL)
 
 
-def check_physical(V: np.ndarray, tol: float = COUPLING_TOL) -> bool:
-    """True when the smallest symplectic eigenvalue of V is >= 1 - tol.
+def check_physical(V: np.ndarray) -> bool:
+    """True when the smallest symplectic eigenvalue of V is >= 1 - COUPLING_TOL.
 
-    ``tol`` is the vacuum slack only; the default is the package's vacuum
-    rule, and symmetry is tested at DEFAULT_TOL.
-    Returns False (instead of raising) when V is not a valid covariance
-    matrix, e.g. not symmetric or not positive definite.
+    That is the package's vacuum rule, the one ``synthesize``,
+    ``jacobi_decompose`` and CLI ``check`` apply; symmetry is tested at
+    DEFAULT_TOL.  Returns False (instead of raising) when V is not a valid
+    covariance matrix, e.g. not symmetric or not positive definite.
     """
     try:
         kappa = symplectic_spectrum(V)
     except InvalidCovarianceError:
         return False
-    return _above_vacuum(kappa[0], tol)
+    return _above_vacuum(kappa[0])
 
 
 def dominates(kappa, m) -> DominanceCertificate:

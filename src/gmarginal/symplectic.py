@@ -14,15 +14,16 @@ import numpy as np
 from .exceptions import InvalidCovarianceError, NumericalError
 
 # The package's thresholds, each named once; see "Tolerances" in the README.
-# Only is_symplectic, check_physical and jacobi_decompose take a ``tol``.
+# Only is_symplectic and jacobi_decompose take a ``tol``.
 
 #: Structure: ``validate_covariance`` rejects max|V - V^T| > DEFAULT_TOL (1 + max|V|).
 #: Also ``synthesize``'s bookkeeping allowance (relative) and the default ``tol`` of
 #: ``is_symplectic`` (absolute) and ``jacobi_decompose`` (off-block threshold).
 DEFAULT_TOL = 1e-10
-#: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL (the default
-#: ``tol`` of ``check_physical``), the dominance allowance of ``_within_slack`` and
-#: the two-mode feasibility checks, each scaled there.
+#: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL (of
+#: ``check_physical``, ``synthesize``, ``jacobi_decompose`` and CLI ``check``), the
+#: dominance allowance of ``_within_slack`` and the two-mode feasibility checks,
+#: each scaled there.
 COUPLING_TOL = 1e-9
 #: ``verify``'s bound: absolute on the symplectic residual, relative to
 #: 1 + max(kappa_n, m_n) on the diagonal and spectral ones and on ``synthesize``'s
@@ -300,7 +301,8 @@ def _local_normal_form(V: np.ndarray):
     L = inv_roots[:, [0, 1, 1, 2]].reshape(n, 2, 2) * np.sqrt(m)[:, None, None]
     rows = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
     V2 = (L @ rows.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T
-    return 0.5 * (V2 + V2.T), list(L), m
+    # halved before the sum, which could overflow near the top of the double range
+    return 0.5 * V2 + 0.5 * V2.T, list(L), m
 
 
 def _rotation(phi: float) -> np.ndarray:

@@ -78,8 +78,9 @@ def _svd2(c00, c01, c10, c11):
     rotations and R(-phi) C R(theta)^T = diag(s1, s2).  Returns
     (phi, s1, s2, theta).
     """
-    e, f = 0.5 * (c00 + c11), 0.5 * (c00 - c11)
-    g, h = 0.5 * (c10 + c01), 0.5 * (c10 - c01)
+    # halved before the sums, which could overflow near the top of the double range
+    e, f = 0.5 * c00 + 0.5 * c11, 0.5 * c00 - 0.5 * c11
+    g, h = 0.5 * c10 + 0.5 * c01, 0.5 * c10 - 0.5 * c01
     q, r = math.hypot(e, h), math.hypot(f, g)
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
     return 0.5 * (a2 + a1), q + r, q - r, 0.5 * (a2 - a1)
@@ -261,7 +262,8 @@ def solve_couplings(m1, m2, kappa1, kappa2):
     fixed by the determinant invariant, the squared couplings are the roots
     of t^2 - Q t + P^2.  k_x is the square root of the larger root and
     k_p = P / k_x, clipped to [-k_x, k_x] against round-off; k_p is zeroed
-    only when k_x is 0, so both couplings scale with the inputs.  Sorting of
+    only when k_x is 0, so both couplings scale with the inputs, exactly
+    under power-of-two scales and at any finite scale.  Sorting of
     the inputs is the caller's business; all formulas are symmetric under
     swapping within each pair.
 
@@ -269,17 +271,25 @@ def solve_couplings(m1, m2, kappa1, kappa2):
         IncompatibleSpectraError: no real couplings exist, i.e.
             m1 * m2 - |P| < kappa1 * kappa2 beyond COUPLING_TOL * m1 * m2.
     """
-    _positive_finite((m1, m2, kappa1, kappa2))
-    P = 0.5 * ((kappa1**2 + kappa2**2) - (m1**2 + m2**2))
-    g = m1 * m2
-    if g - abs(P) < kappa1 * kappa2 - COUPLING_TOL * g:
+    args = (m1, m2, kappa1, kappa2)
+    _positive_finite(args)
+    # the terms below reach degree 4 in the inputs, so when the largest input
+    # leaves [2^-200, 2^200] they are formed on the inputs times 2^-e and the
+    # couplings scaled back by 2^e.  Power-of-two scaling is exact, so the
+    # result is the unscaled formula's bit for bit wherever that stays in range
+    e = math.frexp(max(args))[1]
+    e = 0 if -200 <= e <= 200 else e
+    a, b, c, d = (math.ldexp(x, -e) for x in args) if e else args
+    P = 0.5 * ((c**2 + d**2) - (a**2 + b**2))
+    g = a * b
+    if g - abs(P) < c * d - COUPLING_TOL * g:
         raise IncompatibleSpectraError(
             f"no two-mode state has locals ({m1}, {m2}) and globals ({kappa1}, {kappa2})"
         )
     # Q^2 - 4 P^2 cancels catastrophically near double roots (balanced
     # couplings), so evaluate the two factors Q -/+ 2P in the product form
     # ((g -/+ P)^2 - (kappa1 kappa2)^2) / g, which stays accurate there.
-    kk = kappa1 * kappa2
+    kk = c * d
     diff_sq = max((g - P - kk) * (g - P + kk) / g, 0.0)  # (k_x - k_p)^2
     sum_sq = max((g + P - kk) * (g + P + kk) / g, 0.0)  # (k_x + k_p)^2
     Q = 0.5 * (diff_sq + sum_sq)
@@ -289,7 +299,7 @@ def solve_couplings(m1, m2, kappa1, kappa2):
     # second coupling from the product invariant instead of the noisy root
     # and clip it so that k_x >= |k_p| survives round-off
     kp = float(min(max(P / kx, -kx), kx)) if kx > 0.0 else 0.0
-    return kx, kp
+    return math.ldexp(kx, e), math.ldexp(kp, e)
 
 
 def reconstruct_two_mode(m1, m2, kappa1, kappa2) -> np.ndarray:

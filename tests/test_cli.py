@@ -138,7 +138,7 @@ class TestSynthesize:
         assert "incompatible: tail slack" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e155])
     def test_scaled_instance_exits_zero(self, tmp_path, capsys, scale):
         g = write_vector(tmp_path / "g.json", [scale * x for x in SEVEN_KAPPA])
         l = write_vector(tmp_path / "l.json", [scale * x for x in SEVEN_M])
@@ -269,6 +269,14 @@ class TestReconstruct2:
     def test_incompatible_exits_one(self, capsys):
         assert main(["reconstruct2", "--m1", "1", "--m2", "1", "--k1", "1", "--k2", "3"]) == 1
         capsys.readouterr()
+
+    def test_far_scale_exits_zero(self, capsys):
+        """The known quadruple times 1e160, where kappa^2 is past the largest double."""
+        argv = ["reconstruct2", "--m1", "2e160", "--m2", "2e160", "--k1", "1e160", "--k2", "3e160"]
+        assert main(argv) == 0
+        V = np.asarray(json.loads(capsys.readouterr().out)["data"]).reshape(4, 4)
+        # a double root: the couplings are only good to about sqrt(eps)
+        assert np.abs(V / 1e160 - gm.reconstruct_two_mode(2.0, 2.0, 1.0, 3.0)).max() < 1e-7
 
 
 class TestRandomCommand:

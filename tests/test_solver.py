@@ -12,6 +12,7 @@ import gmarginal as gm
 from gmarginal import (
     IncompatibleSpectraError,
     InvalidCovarianceError,
+    NumericalError,
     UnphysicalSpectrumError,
 )
 from gmarginal import solver, spectra, symplectic, two_mode
@@ -166,13 +167,27 @@ class TestJacobi:
         [coupled_pair(1.0, 1.0, 2.0, 0.0), coupled_pair(1.0, 1.0, 0.5, 0.5)],
         ids=["indefinite", "kappa-half"],
     )
-    @pytest.mark.parametrize("max_sweeps", [0, 1])
-    def test_truncated_run_rejects_unphysical(self, V, max_sweeps):
-        """Cut before convergence, the diagonal bounds kappa_min only from
-        above (at max_sweeps = 0 it is the identity's), so V itself is judged."""
-        with pytest.raises(InvalidCovarianceError) as info:
-            gm.jacobi_decompose(V, max_sweeps=max_sweeps)
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_truncated_run_rejects_unphysical(self, monkeypatch, V, budget):
+        """With no sweep allowed the run is cut before convergence and
+        raises NumericalError; one sweep pivots the pair, which rejects the
+        indefinite V in the pivot and the kappa-half V by the vacuum rule."""
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", budget)
+        error = NumericalError if budget == 0 else InvalidCovarianceError
+        with pytest.raises(error) as info:
+            gm.jacobi_decompose(V)
         assert isinstance(info.value.trace, solver.JacobiTrace)
+        assert info.value.trace.converged == (error is InvalidCovarianceError and V[1, 3] > 0.0)
+
+    @pytest.mark.parametrize(
+        "V",
+        [np.diag([0.5, 0.5, 2.0, 2.0]), coupled_pair(1.0, 1.0, 0.5, 0.5)],
+        ids=["uncoupled", "coupled"],
+    )
+    def test_converged_unphysical_names_kappa_min(self, V):
+        with pytest.raises(InvalidCovarianceError, match="kappa_min = 0.5") as info:
+            gm.jacobi_decompose(V)
+        assert info.value.trace.converged
 
     @pytest.mark.parametrize("e", range(3, 9))
     def test_vacuum_rule_reads_the_returned_kappa(self, e):
@@ -204,17 +219,20 @@ class TestJacobi:
         assert len(trace.steps) > 10 * n
         assert calls == []
 
-    def test_sweep_budget_returns_partial(self):
+    def test_sweep_budget_raises(self, monkeypatch):
         V, _, _ = gm.random_state(6, seed=17)
         _, _, full = gm.jacobi_decompose(V)
         assert full.sweeps > 2  # the budgeted run below genuinely truncates
-        S, kappa, trace = gm.jacobi_decompose(V, max_sweeps=1)
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError, match=r"budget 1 exhausted: .* > tol 1\.000e-10") as info:
+            gm.jacobi_decompose(V)
+        trace = info.value.trace
         assert not trace.converged
         assert trace.sweeps == 1
         assert len(trace.steps) > 0
 
 
-def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=100):
+def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=solver._MAX_SWEEPS):
     """The cyclic Jacobi loop in its plain form, as the reference for the lean one.
 
     It reads every pair's off-block with its own max-norm, gathers the
@@ -231,7 +249,7 @@ def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=100):
         return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
 
     V = validate_covariance(V)
-    if not gm.check_physical(V, COUPLING_TOL):
+    if not gm.check_physical(V):
         raise InvalidCovarianceError("matrix is not a physical covariance matrix")
     n = V.shape[0] // 2
     W, locs, m = local_normal_form(V)
@@ -301,9 +319,25 @@ class TestJacobiAgainstReference:
         for seed in range(3):
             self.assert_bitwise(gm.random_state(n, seed=8100 + 10 * n + seed)[0])
 
-    def test_sweep_budget_and_loose_tolerance(self):
+    def test_sweep_budget_and_loose_tolerance(self, monkeypatch):
+        """A run cut by the sweep budget raises, with the reference's pivots
+        at that budget as its trace and no linear-algebra call."""
         V = gm.random_state(6, seed=17)[0]
-        assert not self.assert_bitwise(V, max_sweeps=2).converged
+        for budget in (0, 1, 2):
+            _, _, steps, sweeps, converged, initial_profit = reference_jacobi(V, max_sweeps=budget)
+            assert not converged
+            calls = count_linalg_calls(monkeypatch)
+            monkeypatch.setattr(solver, "_MAX_SWEEPS", budget)
+            with pytest.raises(NumericalError, match="sweep budget") as info:
+                gm.jacobi_decompose(V)
+            monkeypatch.undo()
+            assert calls == []
+            trace = info.value.trace
+            assert step_bits(trace.steps) == step_bits(steps)
+            assert trace.steps == steps
+            assert (trace.sweeps, trace.converged) == (sweeps, False)
+            assert float(trace.initial_profit).hex() == float(initial_profit).hex()
+            assert len(trace.sweep_off_max) == budget
         self.assert_bitwise(V, tol=1e-3)
 
 
@@ -327,7 +361,7 @@ def test_jacobi_validates_once(monkeypatch):
 
 
 class TestJacobiTrace:
-    def test_sweep_off_max(self):
+    def test_sweep_off_max(self, monkeypatch):
         for seed in range(4):
             V = gm.random_state(5, seed=300 + seed)[0]
             _, _, trace = gm.jacobi_decompose(V)
@@ -337,7 +371,10 @@ class TestJacobiTrace:
             assert max(s.off_norm for s in trace.steps) <= max(trace.sweep_off_max)
             # the first sweep reads every pair before any pivot of its row
             assert trace.sweep_off_max[0] >= trace.steps[0].off_norm
-        _, _, budget = gm.jacobi_decompose(V, max_sweeps=1)
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError) as info:
+            gm.jacobi_decompose(V)
+        budget = info.value.trace
         assert len(budget.sweep_off_max) == 1 and budget.sweep_off_max[0] > DEFAULT_TOL
 
     def test_positional_constructor(self):
@@ -775,7 +812,7 @@ def test_synthesis_is_scale_equivariant(case):
     assert gm.dominates(kappa, m).compatible
     S0, _, trace = gm.synthesize(kappa, m)
     assert len(trace.steps) > 0
-    for e in (0, 10, 20, 40, 60):
+    for e in (0, 10, 20, 40, 60, 130, 200, 250, 300, 500):
         c = 4.0**e
         S, _, _ = gm.synthesize(c * kappa, c * m)
         assert np.array_equal(S, S0), e

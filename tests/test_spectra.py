@@ -315,6 +315,25 @@ def test_every_finite_scale(e):
     assert np.allclose(gm.williamson(squeezed).kappa, [1.0], rtol=1e-15, atol=0)
 
 
+def test_top_of_the_double_range():
+    """Entries above about 9e307, where a sum of two of them overflows: the
+    symmetrizing and averaging steps halve before they add or subtract."""
+    V = 1.5e308 * np.diag([1.0, 1.0, 0.9, 0.9])
+    kappa = [1.35e308, 1.5e308]
+    W, _, m = gm.local_normal_form(V)
+    assert np.isfinite(W).all() and np.allclose(W, V, rtol=1e-15, atol=0)
+    assert np.array_equal(m, gm.local_parameters(V))
+    assert np.allclose(gm.jacobi_decompose(V)[1], kappa, rtol=1e-15, atol=0)
+    assert np.allclose(gm.williamson(V).kappa, kappa, rtol=1e-15, atol=0)
+    # a coupled pair with entries up to 1.35e308 pivots as its 4^-511 multiple does
+    V4 = np.array([[2.0, 0, 1, 0], [0, 2, 0, -0.5], [1, 0, 3, 0], [0, -0.5, 0, 3]])
+    S0, kappa0, _ = gm.jacobi_decompose(V4)
+    c = 4.0**511
+    S, kappa, _ = gm.jacobi_decompose(c * V4, tol=c * 1e-10)
+    assert np.array_equal(S, S0) and np.array_equal(kappa, c * kappa0)
+    assert np.allclose(gm.williamson(c * V4).kappa, kappa, rtol=1e-14, atol=0)
+
+
 # positive diagonal but indefinite, and singular positive semidefinite:
 # the Cholesky factorization behind the spectral routines fails on both
 INDEFINITE = coupled_pair(1.0, 1.0, 2.0, 0.0)

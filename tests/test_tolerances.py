@@ -78,21 +78,23 @@ class TestNamedOnce:
 
 
 class TestTolSurface:
-    def test_only_three_public_callables_take_tol(self):
-        """Thresholds are fixed; three callables keep a knob that tests set."""
-        defaults = {}
+    def test_only_two_public_callables_take_tol(self):
+        """Thresholds are fixed; two callables keep a knob that tests set,
+        and the Jacobi sweep budget is not a knob."""
+        defaults, budgets = {}, []
         for name in gm.__all__:
             obj = getattr(gm, name)
             # classes are skipped: VerifyReport.tol is an output field
             if callable(obj) and not isinstance(obj, type):
-                param = inspect.signature(obj).parameters.get("tol")
-                if param is not None:
-                    defaults[name] = param.default
-        assert defaults == {
-            "is_symplectic": gm.DEFAULT_TOL,
-            "check_physical": gm.COUPLING_TOL,
-            "jacobi_decompose": gm.DEFAULT_TOL,
-        }
+                params = inspect.signature(obj).parameters
+                if "tol" in params:
+                    defaults[name] = params["tol"].default
+                if "max_sweeps" in params:
+                    budgets.append(name)
+        assert defaults == {"is_symplectic": gm.DEFAULT_TOL, "jacobi_decompose": gm.DEFAULT_TOL}
+        assert budgets == []
+        with pytest.raises(TypeError):
+            gm.jacobi_decompose(NEAR_VACUUM, max_sweeps=1)
 
     def test_every_threshold_is_exported(self):
         exported = {name: getattr(gm, name) for name in gm.__all__ if name.endswith("_TOL")}
@@ -128,11 +130,12 @@ class TestVacuumRule:
         assert main(["check", str(g), str(l)]) == 0
         assert json.loads(capsys.readouterr().out)["physical"] is True
 
-    def test_check_physical_tol_is_the_vacuum_slack_only(self):
+    def test_check_physical_takes_no_tol(self):
+        """The vacuum rule is the package's, at COUPLING_TOL, with no slack to loosen."""
         assert not gm.check_physical(NEAR_VACUUM)
-        assert gm.check_physical(NEAR_VACUUM, tol=1e-8)
-        # a looser tol no longer loosens the symmetry test
-        assert not gm.check_physical(asymmetric_pair(5e-9), tol=1e-8)
+        assert not gm.check_physical(asymmetric_pair(5e-9))
+        with pytest.raises(TypeError):
+            gm.check_physical(NEAR_VACUUM, tol=1e-8)
 
 
 class TestSymmetryRule:

@@ -196,6 +196,27 @@ class TestSolveCouplings:
         V = gm.reconstruct_two_mode(9e8, 2.3e9, *kappa)
         assert np.max(np.abs(gm.symplectic_spectrum(V) - kappa) / kappa) < 1e-12
 
+    @pytest.mark.parametrize("e", [-500, -250, -101, 101, 130, 250, 500])
+    def test_every_finite_scale(self, e):
+        """Scaling the inputs by 4^e scales both couplings by 4^e exactly.
+
+        The formulas reach degree 4 in the inputs; without the power-of-two
+        rescale the couplings come out inf from about 1e77, NaN from about
+        1e100, and kappa^2 raises OverflowError from about 1e155.
+        """
+        rng = np.random.default_rng(55)
+        c = 4.0**e
+        for _ in range(20):
+            q = random_compatible_quadruple(rng)
+            kx, kp = gm.solve_couplings(*q)
+            assert gm.solve_couplings(*(c * x for x in q)) == (c * kx, c * kp)
+
+    @pytest.mark.parametrize("scale", [2e80, 1e100, 1e160, 1e-160])
+    def test_known_example_at_decimal_scales(self, scale):
+        # a double root: the couplings are only good to about sqrt(eps)
+        kx, kp = gm.solve_couplings(2.0 * scale, 2.0 * scale, scale, 3.0 * scale)
+        assert abs(kx / scale - 1.0) < 1e-7 and abs(kp / scale - 1.0) < 1e-7
+
     def test_existence_violation(self):
         # locals (1, 1) cannot host globals (1, 3): m1 m2 - |P| = -3 < 3
         with pytest.raises(IncompatibleSpectraError):
@@ -223,7 +244,7 @@ class TestReconstruct:
         for _ in range(N_SAMPLES):
             m1, m2, k1, k2 = random_compatible_quadruple(rng)
             V = gm.reconstruct_two_mode(m1, m2, k1, k2)
-            assert gm.check_physical(V, tol=1e-8)
+            assert gm.check_physical(V)
             assert np.allclose(
                 gm.symplectic_spectrum(V), [k1, k2], atol=1e-8 * k2, rtol=0
             )
