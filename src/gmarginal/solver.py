@@ -29,6 +29,7 @@ from .exceptions import (
 )
 from .spectra import _above_vacuum, _within_slack, dominates
 from .symplectic import (
+    _JACOBI_EPS,
     DEFAULT_TOL,
     VERIFY_TOL,
     _block_roots,
@@ -125,16 +126,19 @@ class VerifyReport:
     ok: bool
 
 
-def _pair_ids(i, j):
-    return np.array([2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1])
+def _pair_ids(i, j, n):
+    """Rows of modes i and j in the stacked [W; S] of n modes: W's four, then S's."""
+    w = [2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1]
+    return np.array(w + [r + 2 * n for r in w])
 
 
 def _pair_index(n):
-    """ids[j - 1, k - 1] is ``_pair_ids(j, k)``, for every pair of n modes."""
+    """ids[j - 1, k - 1] is ``_pair_ids(j, k, n)``, for every pair of n modes."""
     modes = np.arange(2 * n).reshape(n, 2)
-    ids = np.empty((n, n, 4), dtype=int)
+    ids = np.empty((n, n, 8), dtype=int)
     ids[:, :, :2] = modes[:, None, :]
-    ids[:, :, 2:] = modes[None, :, :]
+    ids[:, :, 2:4] = modes[None, :, :]
+    ids[:, :, 4:] = ids[:, :, :4] + 2 * n
     return ids
 
 
@@ -149,26 +153,30 @@ def _row_off_max(W, j):
     return np.maximum(a[0::2], a[1::2]).tolist()
 
 
-def _apply_pair(W, S, T4, ids, rows):
-    """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on the rows ids.
+def _apply_pair(WS, T4, ids, rows):
+    """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on a pair.
 
-    ``ids`` is ``_pair_ids(i, j)`` of the pair and ``rows`` is
-    ``W.take(ids, axis=0)``, its four rows before the step.  Only those
-    rows and the matching columns change, so the cost is O(n).  The touched
-    columns are mirrored from the touched rows and the 4x4 pair block is
-    symmetrized, so W stays exactly symmetric.  Returns that pair block.
+    ``WS`` is the stacked (4n x 2n) [W; S], ``ids`` is ``_pair_ids(i, j, n)``
+    of the pair and ``rows`` is ``WS.take(ids, axis=0)``, its eight rows
+    before the step.  One product with T moves the four rows of W and of S
+    together, one scatter writes them back and one write mirrors W's rows
+    into its columns, so the cost is O(n).  The 4x4 pair block is
+    symmetrized before it is written, so W stays exactly symmetric.
+    Returns that pair block.
     """
-    rows = T4 @ rows
-    block = rows.take(ids, axis=1) @ T4.T
-    block = 0.5 * block + 0.5 * block.T  # halved first: a sum could overflow
-    W[ids] = rows
-    W[:, ids] = rows.T
-    W[ids[:, None], ids] = block
-    S[ids] = T4 @ S.take(ids, axis=0)
+    half = WS.shape[1]
+    cols = ids[:4]
+    new = T4 @ rows.reshape(2, 4, half)
+    w = new[0]
+    block = 0.5 * (w.take(cols, axis=1) @ T4.T)
+    block = block + block.T  # halved first: a sum could overflow
+    w[:, cols] = block
+    WS[ids] = new.reshape(8, half)
+    WS[:half, cols] = w.T
     return block
 
 
-def jacobi_decompose(V, tol: float = DEFAULT_TOL):
+def jacobi_decompose(V):
     """Diagonalize a physical covariance matrix by cyclic two-mode pivots.
 
     Each pivot applies the inverse normal-form factor of the pair's 4x4
@@ -184,24 +192,29 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL):
     The pairs (j, k), k > j, are visited row by row.  Each row j reads the
     off-block max-norms of mode j against all modes at once, and rereads
     them from mode j's two rows after each pivot.  A pivot takes its pair's
-    four rows of W once: the kernel's 4x4 block is gathered from them and
-    the congruence multiplies them.  It writes those four rows and columns
-    of W and of S, and reads its two new profit factors from the 4x4 pair
-    block it writes.  So a pivot costs O(n) on top of the O(1) scalar 4x4
-    work, and a sweep over all pairs costs O(n^3).
+    four rows of W and of S at once, from one stacked (4n x 2n) [W; S]:
+    the kernel's 4x4 block is gathered from them and one product with the
+    congruence moves all eight.  It writes those rows and W's four columns,
+    and reads its two new profit factors from the 4x4 pair block it
+    writes.  So a pivot costs O(n) on top of the O(1) scalar 4x4 work, and
+    a sweep over all pairs costs O(n^3).
 
-    ``tol`` is the off-block convergence threshold only: a pair whose
-    off-block max-norm is at most tol is not pivoted.  It is absolute, so
-    4^e V with tol 4^e tol pivots the same pairs and returns the same S
-    and 4^e kappa; the profit, a product of n local parameters, may then
-    overflow to inf.  V must pass the package's symmetry rule, and a run
-    validates V once.  No spectrum is computed: the vacuum rule
+    The skip rule is relative, the symplectic form of the Demmel-Veselic
+    stopping rule (SIMAX 13, 1992): pair (j, k) is not pivoted when its
+    off-block max-norm is at most _JACOBI_EPS sqrt(m_j) sqrt(m_k) (1e-12),
+    for m_j and m_k the pair's current profit factors.  Two square roots
+    keep the bound in range and are exact under 4^e scaling, so 4^e V
+    pivots the same pairs and returns the same S and 4^e kappa, with no
+    argument to scale; the profit, a product of n local parameters, may
+    then overflow to inf.  V must pass the package's symmetry rule, and a
+    run validates V once.  No spectrum is computed: the vacuum rule
     kappa_min >= 1 - COUPLING_TOL is judged once, on the sorted kappa
     that the converged sweeps leave, the kappa that is returned.
 
     Returns:
-        (S, kappa, JacobiTrace) with S V S^T diagonal within tol, kappa
-        the sorted diagonal parameters and ``converged`` True.
+        (S, kappa, JacobiTrace) with every off-block of S V S^T within the
+        skip rule, kappa the sorted diagonal parameters and ``converged``
+        True.
 
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, a
@@ -209,8 +222,10 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL):
             definite, or the returned kappa breaks the vacuum rule (a
             singular V leaves kappa_min near 0); that rejection names
             kappa_min.
-        NumericalError: an off-block is still above tol after
-            ``_MAX_SWEEPS`` sweeps, or a pivot loses accuracy.
+        NumericalError: an off-block still breaks the skip rule after
+            ``_MAX_SWEEPS`` sweeps (the message names the pair whose
+            off-block is largest against its bound), or a pivot loses
+            accuracy.
         Any exception raised after V is validated carries the run as
         ``err.trace``, a JacobiTrace: ``converged`` is True only for a
         vacuum rejection, and a run stopped inside a sweep ends
@@ -219,7 +234,8 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL):
     V = validate_covariance(V)
     n = V.shape[0] // 2
     W, locs, m = _local_normal_form(V)
-    S = np.zeros_like(V)
+    WS = np.concatenate((W, np.zeros_like(W)))  # the stacked [W; S]
+    W, S = WS[: 2 * n], WS[2 * n :]
     for j in range(n):
         S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
     steps = []
@@ -243,29 +259,40 @@ def jacobi_decompose(V, tol: float = DEFAULT_TOL):
             worst = 0.0
             for j in range(1, n):
                 offs = _row_off_max(W, j)
+                # the skip bound of pair (j, k) is eps_j sqrt(m_k)
+                eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
                 for k in range(j + 1, n + 1):
                     off = offs[k - 1]
                     if off > worst:
                         worst = off
-                    if off <= tol:
+                    if off <= eps_j * math.sqrt(factors[k - 1]):
                         continue
                     pivoted = True
                     ids = pair_ids[j - 1, k - 1]
-                    rows = W.take(ids, axis=0)
-                    T4 = _pivot_factor(rows.take(ids, axis=1))
-                    P = _apply_pair(W, S, T4, ids, rows).tolist()
+                    rows = WS.take(ids, axis=0)
+                    T4 = _pivot_factor(rows[:4].take(ids[:4], axis=1))
+                    P = _apply_pair(WS, T4, ids, rows).tolist()
                     factors[j - 1] = _spd_roots(P[0][0], P[0][1], P[1][1])[2]
                     factors[k - 1] = _spd_roots(P[2][2], P[2][3], P[3][3])[2]
                     steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
                     offs = _row_off_max(W, j)
+                    eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
             sweep_off_max.append(worst)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
         if pivoted:
-            left = max((max(_row_off_max(W, j)[j:]) for j in range(1, n)), default=0.0)
-            if left > tol:
+            left = []
+            for j in range(1, n):
+                eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
+                for k, off in enumerate(_row_off_max(W, j)[j:], j + 1):
+                    bound = eps_j * math.sqrt(factors[k - 1])
+                    if off > bound:
+                        left.append((off / bound, j, k, off))
+            if left:
+                ratio, j, k, off = max(left)
                 raise NumericalError(
-                    f"sweep budget {sweeps} exhausted: largest off-block {left:.3e} > tol {tol:.3e}"
+                    f"sweep budget {sweeps} exhausted: pair ({j}, {k}) has off-block {off:.3e}, "
+                    f"{ratio:.3g} times its bound {_JACOBI_EPS:.0e} sqrt(m_{j} m_{k})"
                 )
         converged = True
         d = W.diagonal()
@@ -334,8 +361,10 @@ def synthesize(kappa, m):
     n = int(kappa.size)
     scale = 1.0 + float(max(kappa[-1], m[-1]))
     atol = DEFAULT_TOL * scale
-    W = np.diag(np.repeat(kappa, 2))
-    S = np.eye(2 * n)
+    WS = np.zeros((4 * n, 2 * n))  # the stacked [W; S]
+    W, S = WS[: 2 * n], WS[2 * n :]
+    np.fill_diagonal(W, np.repeat(kappa, 2))
+    np.fill_diagonal(S, 1.0)
     m_sum = np.sum(m)
     sum_gap_initial = float(m_sum - np.sum(kappa))
     # the schedule's bookkeeping runs on Python floats; the sums stay NumPy's
@@ -353,10 +382,10 @@ def synthesize(kappa, m):
         )
 
     def apply_step(stage, kind, i, j, param):
-        ids = _pair_ids(i, j)
-        rows = W.take(ids, axis=0)
+        ids = _pair_ids(i, j, n)
+        rows = WS.take(ids, axis=0)
         (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
-            rows.take(ids, axis=1).tolist()
+            rows[:4].take(ids[:4], axis=1).tolist()
         )
         di, dj = 0.5 * (a00 + a11), 0.5 * (b00 + b11)
         iso = max(abs(a00 - di), abs(a11 - di), abs(a01), abs(a10))
@@ -376,7 +405,7 @@ def synthesize(kappa, m):
             T4 = _sq_block(float(param))
         else:
             T4 = pair_factor(di, dj, *param)
-        p00, p11, p22, p33 = _apply_pair(W, S, T4, ids, rows).diagonal().tolist()
+        p00, p11, p22, p33 = _apply_pair(WS, T4, ids, rows).diagonal().tolist()
         d[i - 1] = 0.5 * (p00 + p11)
         d[j - 1] = 0.5 * (p22 + p33)
         steps.append(

@@ -14,11 +14,11 @@ import numpy as np
 from .exceptions import InvalidCovarianceError, NumericalError
 
 # The package's thresholds, each named once; see "Tolerances" in the README.
-# Only is_symplectic and jacobi_decompose take a ``tol``.
+# Only is_symplectic takes a ``tol``.
 
 #: Structure: ``validate_covariance`` rejects max|V - V^T| > DEFAULT_TOL (1 + max|V|).
 #: Also ``synthesize``'s bookkeeping allowance (relative) and the default ``tol`` of
-#: ``is_symplectic`` (absolute) and ``jacobi_decompose`` (off-block threshold).
+#: ``is_symplectic`` (absolute).
 DEFAULT_TOL = 1e-10
 #: Spectral round-off: the vacuum rule kappa_min >= 1 - COUPLING_TOL (of
 #: ``check_physical``, ``synthesize``, ``jacobi_decompose`` and CLI ``check``), the
@@ -32,6 +32,10 @@ VERIFY_TOL = 1e-8
 #: Factorization gate of ``williamson`` and the two-mode kernel, relative to 1 + max|V|;
 #: also ``williamson``'s cluster threshold for tied kappa, relative to kappa_n.
 FACTOR_TOL = 1e-6
+#: ``jacobi_decompose``'s relative skip rule: pair (j, k) is not pivoted when its
+#: off-block max-norm is at most _JACOBI_EPS sqrt(m_j) sqrt(m_k), for m_j and m_k
+#: the pair's current local parameters (Demmel and Veselic, SIMAX 13, 1992).
+_JACOBI_EPS = 1e-12
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -316,7 +320,9 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     Global parameters are drawn uniformly from ``kappa_range`` (whose lower
     bound must be at least 1) and scrambled by a product of 4 n^2 random
     elementary symplectics: beam splitters with theta in [0, 2 pi), two-mode
-    squeezers with mu in [0, 0.5], and local rotations/squeezes.
+    squeezers with mu in [0, 0.5], and local rotations/squeezes.  Each
+    generator rewrites only its own two or four rows of S, in place, at
+    O(n^2) cost, so the whole draw costs O(n^4).
 
     Returns:
         (V, S_used, kappa_used) with V = S_used D S_used^T, where D is the
@@ -336,21 +342,26 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     probs = (0.4, 0.25, 0.2, 0.15) if n >= 2 else (0.6, 0.4)
     for _ in range(4 * n * n):
         kind = rng.choice(kinds, p=probs)
-        if kind == "bs":
-            j, k = np.sort(rng.choice(n, size=2, replace=False)) + 1
-            G = beam_splitter_pair(rng.uniform(0.0, 2.0 * np.pi), int(j), int(k), n)
-        elif kind == "sq2":
-            j, k = np.sort(rng.choice(n, size=2, replace=False)) + 1
-            G = squeezer_pair(rng.uniform(0.0, 0.5), int(j), int(k), n)
-        elif kind == "rot":
-            j = int(rng.integers(1, n + 1))
-            G = np.eye(2 * n)
-            G[mode_slice(j), mode_slice(j)] = _rotation(rng.uniform(0.0, 2.0 * np.pi))
+        if kind in ("bs", "sq2"):
+            j, k = np.sort(rng.choice(n, size=2, replace=False)) * 2
+            ids = np.array([j, j + 1, k, k + 1])
+            if kind == "bs":
+                G = _bs_block(rng.uniform(0.0, 2.0 * np.pi))
+            else:
+                G = _sq_block(rng.uniform(0.0, 0.5))
         else:
-            j = int(rng.integers(1, n + 1))
-            r = rng.uniform(0.0, 0.5)
-            G = np.eye(2 * n)
-            G[mode_slice(j), mode_slice(j)] = np.diag([np.exp(r), np.exp(-r)])
-        S = G @ S
+            j = 2 * int(rng.integers(1, n + 1)) - 2
+            ids = np.array([j, j + 1])
+            if kind == "rot":
+                G = _rotation(rng.uniform(0.0, 2.0 * np.pi))
+            else:
+                r = rng.uniform(0.0, 0.5)
+                G = np.diag([np.exp(r), np.exp(-r)])
+        # only the generator's own rows of S change; they are its rows of the
+        # dense 2n x 2n generator times S, which rounds as the dense product
+        # does (a product with the 4x4 block alone need not), at O(n^2)
+        rows = np.zeros((ids.size, 2 * n))
+        rows[:, ids] = G
+        S[ids] = rows @ S
     V = S @ np.diag(np.repeat(kappa, 2)) @ S.T
     return 0.5 * (V + V.T), S, kappa

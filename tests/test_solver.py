@@ -19,6 +19,7 @@ from gmarginal import solver, spectra, symplectic, two_mode
 from gmarginal.solver import JacobiStep, _apply_pair, _pair_ids
 from gmarginal.spectra import _within_slack
 from gmarginal.symplectic import (
+    _JACOBI_EPS,
     COUPLING_TOL,
     DEFAULT_TOL,
     _bs_block,
@@ -90,13 +91,14 @@ class TestApplyPair:
             S0 = rng.normal(size=(2 * n, 2 * n))
             T = gm.expand_two_mode(T4, i, j, n)
             W_ref, S_ref = T @ W0 @ T.T, T @ S0
-            W, S = W0.copy(), S0.copy()
-            ids = _pair_ids(i, j)
-            block = _apply_pair(W, S, T4, ids, W.take(ids, axis=0))
+            WS = np.concatenate((W0, S0))
+            W, S = WS[: 2 * n], WS[2 * n :]
+            ids = _pair_ids(i, j, n)
+            block = _apply_pair(WS, T4, ids, WS.take(ids, axis=0))
             assert rel_diff(W, W_ref) < 1e-14
             assert rel_diff(S, S_ref) < 1e-14
             assert np.array_equal(W, W.T)
-            assert np.array_equal(block, W[ids[:, None], ids])
+            assert np.array_equal(block, W[ids[:4, None], ids[:4]])
 
 
 class TestJacobi:
@@ -224,7 +226,10 @@ class TestJacobi:
         _, _, full = gm.jacobi_decompose(V)
         assert full.sweeps > 2  # the budgeted run below genuinely truncates
         monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
-        with pytest.raises(NumericalError, match=r"budget 1 exhausted: .* > tol 1\.000e-10") as info:
+        with pytest.raises(
+            NumericalError,
+            match=r"budget 1 exhausted: pair \(\d, \d\) has off-block .* times its bound 1e-12 sqrt\(m_\d m_\d\)$",
+        ) as info:
             gm.jacobi_decompose(V)
         trace = info.value.trace
         assert not trace.converged
@@ -232,17 +237,22 @@ class TestJacobi:
         assert len(trace.steps) > 0
 
 
-def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=solver._MAX_SWEEPS):
+def reference_jacobi(V, max_sweeps=solver._MAX_SWEEPS):
     """The cyclic Jacobi loop in its plain form, as the reference for the lean one.
 
     It reads every pair's off-block with its own max-norm, gathers the
-    kernel's 4x4 block by fancy indexing, takes the pair's rows again for
-    the congruence and recomputes both profit factors from W.  Returns
+    kernel's 4x4 block by fancy indexing, takes the pair's rows of W and
+    of S apart for the congruence, recomputes both profit factors from W
+    and skips a pair by the relative rule on those factors.  Returns
     (S, kappa, steps, sweeps, converged, initial_profit).
     """
 
     def off_max(W, j, k):
         return float(abs(W[mode_slice(j), mode_slice(k)]).max())
+
+    def breaks_rule(W, factors, j, k):
+        bound = _JACOBI_EPS * math.sqrt(factors[j - 1]) * math.sqrt(factors[k - 1])
+        return off_max(W, j, k) > bound
 
     def local_factor(W, i):
         B = W[mode_slice(i), mode_slice(i)]
@@ -267,7 +277,7 @@ def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=solver._MAX_SWEEPS):
         for j in range(1, n):
             for k in range(j + 1, n + 1):
                 off = off_max(W, j, k)
-                if off <= tol:
+                if not breaks_rule(W, factors, j, k):
                     continue
                 pivoted = True
                 ids = np.array([2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1])
@@ -282,7 +292,7 @@ def reference_jacobi(V, tol=DEFAULT_TOL, max_sweeps=solver._MAX_SWEEPS):
                 factors[k - 1] = local_factor(W, k)
                 steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
     converged = not pivoted or not any(
-        off_max(W, j, k) > tol for j in range(1, n) for k in range(j + 1, n + 1)
+        breaks_rule(W, factors, j, k) for j in range(1, n) for k in range(j + 1, n + 1)
     )
     kappa = np.sort([0.5 * (W[2 * t, 2 * t] + W[2 * t + 1, 2 * t + 1]) for t in range(n)])
     return S, kappa, steps, sweeps, converged, initial_profit
@@ -296,9 +306,9 @@ def step_bits(steps):
 class TestJacobiAgainstReference:
     """The lean loop returns the reference loop's results bit for bit."""
 
-    def assert_bitwise(self, V, **kwargs):
-        S, kappa, trace = gm.jacobi_decompose(V, **kwargs)
-        S_ref, kappa_ref, steps, sweeps, converged, initial_profit = reference_jacobi(V, **kwargs)
+    def assert_bitwise(self, V):
+        S, kappa, trace = gm.jacobi_decompose(V)
+        S_ref, kappa_ref, steps, sweeps, converged, initial_profit = reference_jacobi(V)
         assert S.tobytes() == S_ref.tobytes()
         assert kappa.tobytes() == kappa_ref.tobytes()
         assert step_bits(trace.steps) == step_bits(steps)
@@ -319,7 +329,7 @@ class TestJacobiAgainstReference:
         for seed in range(3):
             self.assert_bitwise(gm.random_state(n, seed=8100 + 10 * n + seed)[0])
 
-    def test_sweep_budget_and_loose_tolerance(self, monkeypatch):
+    def test_sweep_budget(self, monkeypatch):
         """A run cut by the sweep budget raises, with the reference's pivots
         at that budget as its trace and no linear-algebra call."""
         V = gm.random_state(6, seed=17)[0]
@@ -338,7 +348,6 @@ class TestJacobiAgainstReference:
             assert (trace.sweeps, trace.converged) == (sweeps, False)
             assert float(trace.initial_profit).hex() == float(initial_profit).hex()
             assert len(trace.sweep_off_max) == budget
-        self.assert_bitwise(V, tol=1e-3)
 
 
 def test_jacobi_validates_once(monkeypatch):
@@ -472,8 +481,8 @@ class TestSynthesizeSevenModes:
         kept from the pair blocks that ``_apply_pair`` returns."""
         real_apply, replica, expected = solver._apply_pair, np.array(SEVEN_KAPPA), []
 
-        def recording_apply(W, S, T4, ids, rows):
-            P = real_apply(W, S, T4, ids, rows)
+        def recording_apply(WS, T4, ids, rows):
+            P = real_apply(WS, T4, ids, rows)
             replica[ids[0] // 2] = 0.5 * (P[0, 0] + P[1, 1])
             replica[ids[2] // 2] = 0.5 * (P[2, 2] + P[3, 3])
             expected.append([float(x) for x in replica])
@@ -622,10 +631,10 @@ class TestSynthesizeGeneral:
     def test_correlated_pair_raises_with_partial_trace(self, monkeypatch):
         # correlate modes 2 and 6 behind the schedule's back after the first
         # step, so the second step, on (2, 6), finds its pair correlated
-        def leaky_apply_pair(W, S, T4, ids, rows):
-            block = _apply_pair(W, S, T4, ids, rows)
-            W[2, 10] += 1e-3
-            W[10, 2] += 1e-3
+        def leaky_apply_pair(WS, T4, ids, rows):
+            block = _apply_pair(WS, T4, ids, rows)
+            WS[2, 10] += 1e-3  # W's entries: its rows lead the stacked [W; S]
+            WS[10, 2] += 1e-3
             return block
 
         monkeypatch.setattr(gm.solver, "_apply_pair", leaky_apply_pair)
@@ -821,18 +830,19 @@ def test_synthesis_is_scale_equivariant(case):
 
 @pytest.mark.parametrize("e", [0, 40, 130, 250, 500])
 def test_jacobi_is_scale_equivariant(e):
-    """V -> 4^e V with tol -> 4^e tol scales kappa by 4^e and leaves S bitwise alone.
+    """V -> 4^e V scales kappa by 4^e and leaves S bitwise alone, with no argument.
 
     Every 2x2 determinant comes from ``_spd_roots``, which rescales it by a
-    power of four when it leaves the double range, and the pivot's
-    dx dp / big takes big's power of two out first, so the run pivots the
+    power of four when it leaves the double range, the pivot's dx dp / big
+    takes big's power of two out first, and the skip bound
+    eps sqrt(m_j) sqrt(m_k) scales by 4^e exactly, so the run pivots the
     same pairs at every scale.  The profit, a product of n local
     parameters, may overflow to inf, but no trace field is NaN.
     """
     V, _ = bloch_messiah_state(np.random.default_rng(6), 6)
     S0, kappa0, trace0 = gm.jacobi_decompose(V)
     c = 4.0**e
-    S, kappa, trace = gm.jacobi_decompose(c * V, tol=c * DEFAULT_TOL)
+    S, kappa, trace = gm.jacobi_decompose(c * V)
     assert trace.converged and len(trace.steps) == len(trace0.steps) > 0
     assert np.array_equal(S, S0)
     assert np.array_equal(kappa, c * kappa0)
@@ -840,6 +850,40 @@ def test_jacobi_is_scale_equivariant(e):
     fields = [trace.initial_profit, *trace.sweep_off_max]
     fields += [v for s in trace.steps for v in (s.off_norm, s.profit)]
     assert not np.isnan(fields).any()
+
+
+def test_jacobi_is_scale_equivariant_at_every_e():
+    """Every e from 1 to 500, on test_jacobi_is_scale_equivariant's state."""
+    V, _ = bloch_messiah_state(np.random.default_rng(6), 6)
+    S0, kappa0, _ = gm.jacobi_decompose(V)
+    for e in range(1, 501):
+        c = 4.0**e
+        S, kappa, _ = gm.jacobi_decompose(c * V)
+        assert np.array_equal(S, S0) and np.array_equal(kappa, c * kappa0), e
+
+
+class TestJacobiFarFromUnitScale:
+    """An n = 8 state scaled far from unit size.  Under an absolute skip
+    threshold of 1e-10, the x1e40 and x2^400 runs read off-blocks far above
+    it in every sweep and ran out of sweeps, and at x1e-40 no pivot ran, so
+    the error named the locals' kappa_min, 1.66e-40, for the true 1.29e-40."""
+
+    V, _ = bloch_messiah_state(np.random.default_rng(1), 8)
+
+    @pytest.mark.parametrize("c", [1e40, 2.0**400], ids=["1e40", "2^400"])
+    def test_converges_above(self, c):
+        _, kappa0, trace0 = gm.jacobi_decompose(self.V)
+        _, kappa, trace = gm.jacobi_decompose(c * self.V)
+        assert trace.converged and trace.sweeps == trace0.sweeps
+        assert np.allclose(kappa / c, kappa0, rtol=1e-14, atol=0)
+
+    def test_names_the_true_kappa_min_below(self):
+        _, kappa0, _ = gm.jacobi_decompose(self.V)
+        with pytest.raises(InvalidCovarianceError, match="kappa_min = ") as info:
+            gm.jacobi_decompose(1e-40 * self.V)
+        named = float(str(info.value).split("kappa_min = ")[1].split()[0])
+        assert abs(named - 1e-40 * kappa0[0]) <= 1e-12 * 1e-40 * kappa0[0]
+        assert len(info.value.trace.steps) > 0
 
 
 class TestJacobiProperties:

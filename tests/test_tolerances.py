@@ -78,9 +78,9 @@ class TestNamedOnce:
 
 
 class TestTolSurface:
-    def test_only_two_public_callables_take_tol(self):
-        """Thresholds are fixed; two callables keep a knob that tests set,
-        and the Jacobi sweep budget is not a knob."""
+    def test_only_is_symplectic_takes_tol(self):
+        """Thresholds are fixed; is_symplectic keeps a knob that tests set,
+        and neither Jacobi's skip rule nor its sweep budget is a knob."""
         defaults, budgets = {}, []
         for name in gm.__all__:
             obj = getattr(gm, name)
@@ -91,10 +91,12 @@ class TestTolSurface:
                     defaults[name] = params["tol"].default
                 if "max_sweeps" in params:
                     budgets.append(name)
-        assert defaults == {"is_symplectic": gm.DEFAULT_TOL, "jacobi_decompose": gm.DEFAULT_TOL}
+        assert defaults == {"is_symplectic": gm.DEFAULT_TOL}
         assert budgets == []
         with pytest.raises(TypeError):
             gm.jacobi_decompose(NEAR_VACUUM, max_sweeps=1)
+        with pytest.raises(TypeError):
+            gm.jacobi_decompose(NEAR_VACUUM, tol=1e-10)
 
     def test_every_threshold_is_exported(self):
         exported = {name: getattr(gm, name) for name in gm.__all__ if name.endswith("_TOL")}
@@ -149,9 +151,9 @@ class TestSymmetryRule:
         assert captured.out == ""
         assert captured.err == "error: covariance matrix is not symmetric\n"
 
-    def test_jacobi_tol_is_the_convergence_threshold_only(self):
+    def test_jacobi_applies_the_symmetry_rule(self):
         with pytest.raises(InvalidCovarianceError, match="not symmetric"):
-            gm.jacobi_decompose(asymmetric_pair(5e-9), tol=1e-6)
+            gm.jacobi_decompose(asymmetric_pair(5e-9))
 
 
 class TestFactorizationGate:
