@@ -37,8 +37,8 @@ from .symplectic import (
     _local_normal_form,
     _omega_gram,
     _positive_finite,
-    _spd_roots,
     _sq_block,
+    _sqrt_det,
     _subtract_omega,
     _symplectic_residual,
     mode_slice,
@@ -132,25 +132,12 @@ def _pair_ids(i, j, n):
     return np.array(w + [r + 2 * n for r in w])
 
 
-def _pair_index(n):
-    """ids[j - 1, k - 1] is ``_pair_ids(j, k, n)``, for every pair of n modes."""
-    modes = np.arange(2 * n).reshape(n, 2)
-    ids = np.empty((n, n, 8), dtype=int)
-    ids[:, :, :2] = modes[:, None, :]
-    ids[:, :, 2:4] = modes[None, :, :]
-    ids[:, :, 4:] = ids[:, :, :4] + 2 * n
-    return ids
-
-
-def _row_off_max(W, j):
-    """Largest |entry| of each 2x2 block in the rows of mode j, in mode order.
-
-    Entry k - 1 is max |W[mode_slice(j), mode_slice(k)]|; entry j - 1 is mode
-    j's own block.
-    """
-    a = abs(W[mode_slice(j)])
-    a = np.maximum(a[0], a[1])
-    return np.maximum(a[0::2], a[1::2]).tolist()
+def _gather_pair(WS, i, j):
+    """(ids, rows, block) of modes i and j in the stacked [W; S]: the pair's
+    ``_pair_ids``, its eight rows and W's 4x4 pair block, read by one ``take``."""
+    ids = _pair_ids(i, j, WS.shape[1] // 2)
+    rows = WS.take(ids, axis=0)
+    return ids, rows, rows[:4].take(ids[:4], axis=1)
 
 
 def _apply_pair(WS, T4, ids, rows):
@@ -189,15 +176,16 @@ def jacobi_decompose(V):
     forces convergence; a run that does not converge within ``_MAX_SWEEPS``
     sweeps has failed numerically and raises.
 
-    The pairs (j, k), k > j, are visited row by row.  Each row j reads the
-    off-block max-norms of mode j against all modes at once, and rereads
-    them from mode j's two rows after each pivot.  A pivot takes its pair's
-    four rows of W and of S at once, from one stacked (4n x 2n) [W; S]:
-    the kernel's 4x4 block is gathered from them and one product with the
-    congruence moves all eight.  It writes those rows and W's four columns,
-    and reads its two new profit factors from the 4x4 pair block it
-    writes.  So a pivot costs O(n) on top of the O(1) scalar 4x4 work, and
-    a sweep over all pairs costs O(n^3).
+    The pairs (j, k), k > j, are visited row by row, and each visit reads
+    its pair once: ``_gather_pair`` takes the pair's four rows of W and of
+    S from one stacked (4n x 2n) [W; S], and W's 4x4 pair block from them.
+    The skip test reads the off-block max-norm from that block as Python
+    floats; a pivot hands the block to the kernel, and one product with the
+    congruence moves all eight rows.  It writes those rows and W's four
+    columns, and reads its two new profit factors as ``_sqrt_det`` of the
+    4x4 pair block it writes.  So a visit costs O(n) on top of the O(1)
+    scalar 4x4 work, and a sweep over all pairs costs O(n^3).  The rescan
+    after an exhausted sweep budget reads each pair the same way.
 
     The skip rule is relative, the symplectic form of the Demmel-Veselic
     stopping rule (SIMAX 13, 1992): pair (j, k) is not pivoted when its
@@ -242,13 +230,22 @@ def jacobi_decompose(V):
     sweep_off_max = []
     initial_profit = math.prod(m.tolist())
     factors = [d for _, _, d in _block_roots(W)]
-    pair_ids = _pair_index(n)
+
+    def read_pair(j, k):
+        # the skip test's one read of the pair, which a pivot then reuses
+        ids, rows, block = _gather_pair(WS, j, k)
+        (_, _, c00, c01), (_, _, c10, c11) = block[:2].tolist()
+        off = max(abs(c00), abs(c01), abs(c10), abs(c11))
+        # the Demmel-Veselic bound; two square roots keep it in range
+        bound = _JACOBI_EPS * math.sqrt(factors[j - 1]) * math.sqrt(factors[k - 1])
+        return ids, rows, block, off, bound
 
     def trace():
         # a pivot error stops a sweep before its largest off-block is appended
         off_max = sweep_off_max if len(sweep_off_max) == sweeps else [*sweep_off_max, worst]
         return JacobiTrace(steps, sweeps, converged, initial_profit, off_max)
 
+    pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
     sweeps = 0
     converged = False
     pivoted = True
@@ -257,37 +254,26 @@ def jacobi_decompose(V):
             sweeps += 1
             pivoted = False
             worst = 0.0
-            for j in range(1, n):
-                offs = _row_off_max(W, j)
-                # the skip bound of pair (j, k) is eps_j sqrt(m_k)
-                eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
-                for k in range(j + 1, n + 1):
-                    off = offs[k - 1]
-                    if off > worst:
-                        worst = off
-                    if off <= eps_j * math.sqrt(factors[k - 1]):
-                        continue
-                    pivoted = True
-                    ids = pair_ids[j - 1, k - 1]
-                    rows = WS.take(ids, axis=0)
-                    T4 = _pivot_factor(rows[:4].take(ids[:4], axis=1))
-                    P = _apply_pair(WS, T4, ids, rows).tolist()
-                    factors[j - 1] = _spd_roots(P[0][0], P[0][1], P[1][1])[2]
-                    factors[k - 1] = _spd_roots(P[2][2], P[2][3], P[3][3])[2]
-                    steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
-                    offs = _row_off_max(W, j)
-                    eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
+            for j, k in pairs:
+                ids, rows, block, off, bound = read_pair(j, k)
+                if off > worst:
+                    worst = off
+                if off <= bound:
+                    continue
+                pivoted = True
+                P = _apply_pair(WS, _pivot_factor(block), ids, rows).tolist()
+                factors[j - 1] = math.ldexp(*_sqrt_det(P[0][0], P[0][1], P[1][1]))
+                factors[k - 1] = math.ldexp(*_sqrt_det(P[2][2], P[2][3], P[3][3]))
+                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
             sweep_off_max.append(worst)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
         if pivoted:
             left = []
-            for j in range(1, n):
-                eps_j = _JACOBI_EPS * math.sqrt(factors[j - 1])
-                for k, off in enumerate(_row_off_max(W, j)[j:], j + 1):
-                    bound = eps_j * math.sqrt(factors[k - 1])
-                    if off > bound:
-                        left.append((off / bound, j, k, off))
+            for j, k in pairs:
+                *_, off, bound = read_pair(j, k)
+                if off > bound:
+                    left.append((off / bound, j, k, off))
             if left:
                 ratio, j, k, off = max(left)
                 raise NumericalError(
@@ -382,10 +368,9 @@ def synthesize(kappa, m):
         )
 
     def apply_step(stage, kind, i, j, param):
-        ids = _pair_ids(i, j, n)
-        rows = WS.take(ids, axis=0)
+        ids, rows, block = _gather_pair(WS, i, j)
         (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
-            rows[:4].take(ids[:4], axis=1).tolist()
+            block.tolist()
         )
         di, dj = 0.5 * (a00 + a11), 0.5 * (b00 + b11)
         iso = max(abs(a00 - di), abs(a11 - di), abs(a01), abs(a10))

@@ -237,21 +237,16 @@ def _block_roots(V: np.ndarray) -> list:
     return [_spd_roots(x0, xk, x1, j) for j, (x0, xk, x1) in enumerate(blocks, 1)]
 
 
-def _spd_roots(x0, xk, x1, block=None):
-    """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
+def _sqrt_det(x0, xk, x1, block=None):
+    """sqrt(det X) of the SPD X = [[x0, xk], [xk, x1]] as (d, e): sqrt(det X) = d 2^e.
 
-    Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
-    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Both roots are
-    symmetric, so each comes back as the flat triple (r00, r01, r11).
-    Returns (root, inv_root, d).  This is the package's one 2x2 determinant.
-
-    When det X leaves [2^-600, 2^600] (it over- or underflows far sooner
-    than the entries do), the roots are taken once of 4^-s X, with s from
-    the binary exponents of x0 and x1, and scaled back: the root by 2^s,
-    the inverse root by 2^-s and d by 4^s.  Power-of-two scaling commutes
-    with every operation here, so the result is the unscaled formula's bit
-    for bit wherever that formula stays in range, and exactly scale
-    equivariant beyond it.
+    This is the package's one 2x2 determinant.  When det X leaves
+    [2^-600, 2^600] (it over- or underflows far sooner than the entries
+    do), d is taken of 4^-s X, with s from the binary exponents of x0 and
+    x1, and e = 2s; elsewhere e = 0.  Power-of-two scaling is exact, so
+    ``math.ldexp(d, e)`` is the unscaled formula's value bit for bit
+    wherever that formula stays in range, and exactly scale equivariant
+    beyond it.
 
     Raises:
         InvalidCovarianceError: X is not positive definite; the message
@@ -259,16 +254,34 @@ def _spd_roots(x0, xk, x1, block=None):
     """
     det = x0 * x1 - xk * xk
     if not 2.0**-600 <= det <= 2.0**600:
-        s = (math.frexp(x0)[1] + math.frexp(x1)[1]) // 4
-        if s:
-            root, inv_root, d = _spd_roots(*(math.ldexp(x, -2 * s) for x in (x0, xk, x1)), block)
-            root = tuple(math.ldexp(r, s) for r in root)
-            inv_root = tuple(math.ldexp(r, -s) for r in inv_root)
-            return root, inv_root, math.ldexp(d, 2 * s)
+        e = (math.frexp(x0)[1] + math.frexp(x1)[1]) // 4 * 2
+        if e:
+            d, inner = _sqrt_det(*(math.ldexp(x, -e) for x in (x0, xk, x1)), block)
+            return d, e + inner
     if x0 <= 0.0 or det <= 0.0:
         what = "two-mode covariance matrix" if block is None else f"single-mode block {block}"
         raise InvalidCovarianceError(f"{what} is not positive definite")
-    d = math.sqrt(det)
+    return math.sqrt(det), 0
+
+
+def _spd_roots(x0, xk, x1, block=None):
+    """Square root and inverse square root of the SPD X = [[x0, xk], [xk, x1]].
+
+    Closed forms X^(1/2) = (X + d I) / t and X^(-1/2) = (adj X + d I) / (t d)
+    with d = sqrt(det X) and t = sqrt(tr X + 2 d).  Both roots are
+    symmetric, so each comes back as the flat triple (r00, r01, r11).
+    Returns (root, inv_root, d).
+
+    d comes from ``_sqrt_det``; when that rescales X by 4^-s, the roots are
+    taken once of 4^-s X too and scaled back, the root by 2^s and the
+    inverse root by 2^-s, so they share its range and its exact scale
+    equivariance.  Raises what ``_sqrt_det`` raises.
+    """
+    d, e = _sqrt_det(x0, xk, x1, block)
+    if e:
+        root, inv_root, _ = _spd_roots(*(math.ldexp(x, -e) for x in (x0, xk, x1)))
+        root = tuple(math.ldexp(r, e // 2) for r in root)
+        return root, tuple(math.ldexp(r, -e // 2) for r in inv_root), math.ldexp(d, e)
     t = math.sqrt(x0 + x1 + 2.0 * d)
     u = 1.0 / (t * d)
     return ((x0 + d) / t, xk / t, (x1 + d) / t), ((x1 + d) * u, -xk * u, (x0 + d) * u), d

@@ -32,6 +32,7 @@ from .symplectic import (
     _factor_gate,
     _positive_finite,
     _spd_roots,
+    _sqrt_det,
     symplectic_inverse,
     validate_covariance,
 )
@@ -140,7 +141,7 @@ def standard_form(V4):
     ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
     # the standard shape is X (+) P on the q and p quadratures, and
     # k_x >= |k_p|, so X positive definite implies P positive definite
-    _spd_roots(ma, kx, mb)
+    _sqrt_det(ma, kx, mb)
     m1, m2 = sorted((ma, mb))
     form = TwoModeStandardForm(m1=m1, m2=m2, k_x=kx, k_p=kp)
     return form, [np.array(G1).reshape(2, 2), np.array(G2).reshape(2, 2)]

@@ -1,8 +1,8 @@
 """High-precision oracle for the symplectic spectrum.
 
 mpmath recomputes kappa of the floating-point matrix V itself at 50
-significant digits (Cholesky factor L, then the singular values of
-L^T Omega L), so a comparison measures the error of the double-precision
+significant digits (Cholesky factor L, then the eigenvalues kappa^2 of
+A^T A for A = L^T Omega L), so a comparison measures the error of the double-precision
 routine alone, not the round-off made in building V.  For ``verify`` the
 oracle forms S diag(kappa pairs) S^T from the floating-point S at 50 digits
 too, so it measures how far the spectrum of that exact product is from the
@@ -23,14 +23,22 @@ KAPPA_RTOL = 1e-13
 
 
 def _mp_kappa(V):
-    """Symplectic eigenvalues of the mpmath matrix V, ascending, at the working precision."""
+    """Symplectic eigenvalues of the mpmath matrix V, ascending, at the working precision.
+
+    They are the square roots of the eigenvalues of A^T A, each twice, for
+    A = L^T Omega L: a symmetric eigenproblem, which mpmath's ``eigsy``
+    solves where ``svd_r`` of A can stop without converging (it does on
+    some n = 12 Bloch-Messiah states), and which agrees with ``svd_r``
+    where that converges.
+    """
     n = V.rows // 2
     L = mpmath.cholesky(V)
     omega = mpmath.zeros(2 * n)
     for j in range(n):
         omega[2 * j, 2 * j + 1] = 1
         omega[2 * j + 1, 2 * j] = -1
-    return sorted(mpmath.svd_r(L.T * omega * L, compute_uv=False))[0::2]
+    A = L.T * omega * L
+    return [mpmath.sqrt(w) for w in sorted(mpmath.eigsy(A.T * A, eigvals_only=True))[0::2]]
 
 
 def oracle_kappa(V):
@@ -50,7 +58,7 @@ def oracle_verify_error(S, kappa):
 
 
 def _states():
-    for n in (2, 4, 8):
+    for n in (2, 4, 8, 12):
         V, _ = bloch_messiah_state(np.random.default_rng(100 + n), n)
         yield f"bloch-messiah-{n}", V
     kappa = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0])
@@ -62,6 +70,7 @@ STATES = dict(_states())
 ROUTINES = {
     "symplectic_spectrum": gm.symplectic_spectrum,
     "williamson": lambda V: gm.williamson(V).kappa,
+    "jacobi_decompose": lambda V: gm.jacobi_decompose(V)[1],
 }
 
 

@@ -1,11 +1,13 @@
 """Tests for the elementary symplectic toolbox."""
 
+import math
+
 import numpy as np
 import pytest
 
 import gmarginal as gm
 from gmarginal import InvalidCovarianceError
-from gmarginal.symplectic import _bs_block, _sq_block
+from gmarginal.symplectic import _bs_block, _spd_roots, _sq_block, _sqrt_det
 
 from conftest import block_isotropy_max, local_params, off_block_max, rand_local_symplectic
 
@@ -218,6 +220,23 @@ def test_local_parameters_rejects_non_positive_blocks():
         gm.local_parameters(V)
     with pytest.raises(InvalidCovarianceError, match="single-mode block 1 is not"):
         gm.local_parameters(-np.eye(4))  # det > 0 but negative definite
+
+
+@pytest.mark.parametrize(
+    "x0, xk, x1", [(1.0, 0.0, 1.0), (2.5, 0.7, 1.3), (3.0, -2.9, 3.0), (7e-3, 1e-5, 4e2)]
+)
+def test_sqrt_det_is_the_d_of_spd_roots_on_the_power_of_four_ladder(x0, xk, x1):
+    """ldexp(*_sqrt_det(4^e X)) is _spd_roots(4^e X)[2] and 4^e sqrt(det X), bit for bit.
+
+    From |e| = 150 or so det(4^e X) leaves [2^-600, 2^600] and both take
+    the rescaled path.
+    """
+    d0 = math.ldexp(*_sqrt_det(x0, xk, x1))
+    for e in range(-500, 501):
+        X = [math.ldexp(x, 2 * e) for x in (x0, xk, x1)]
+        d = math.ldexp(*_sqrt_det(*X))
+        assert d == _spd_roots(*X)[2], e
+        assert d == math.ldexp(d0, 2 * e), e
 
 
 def test_check_physical():
