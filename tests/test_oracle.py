@@ -2,11 +2,12 @@
 
 mpmath recomputes kappa of the floating-point matrix V itself at 50
 significant digits (Cholesky factor L, then the eigenvalues kappa^2 of
-A^T A for A = L^T Omega L), so a comparison measures the error of the double-precision
-routine alone, not the round-off made in building V.  For ``verify`` the
-oracle forms S diag(kappa pairs) S^T from the floating-point S at 50 digits
-too, so it measures how far the spectrum of that exact product is from the
-requested kappa, which ``spectrum_residual`` must bound.
+A^T A for A = L^T Omega L), so a comparison measures the error of the
+double-precision routine alone, not the round-off made in building V.
+For ``verify`` the oracle forms S diag(kappa pairs) S^T from the
+floating-point S at 50 digits too, so it measures how far the spectrum of
+that exact product is from the requested kappa, which
+``spectrum_residual`` must bound.
 """
 
 import mpmath
