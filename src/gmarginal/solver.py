@@ -41,7 +41,6 @@ from .symplectic import (
     _sqrt_det,
     _subtract_omega,
     _symplectic_residual,
-    mode_slice,
     validate_covariance,
 )
 from .two_mode import _pivot_factor, bs_param, pair_factor, sq_param
@@ -128,8 +127,8 @@ class VerifyReport:
 
 def _pair_ids(i, j, n):
     """Rows of modes i and j in the stacked [W; S] of n modes: W's four, then S's."""
-    w = [2 * i - 2, 2 * i - 1, 2 * j - 2, 2 * j - 1]
-    return np.array(w + [r + 2 * n for r in w])
+    a, b, h = 2 * i - 2, 2 * j - 2, 2 * n
+    return np.array((a, a + 1, b, b + 1, a + h, a + h + 1, b + h, b + h + 1))
 
 
 def _gather_pair(WS, i, j):
@@ -224,8 +223,7 @@ def jacobi_decompose(V):
     W, locs, m = _local_normal_form(V)
     WS = np.concatenate((W, np.zeros_like(W)))  # the stacked [W; S]
     W, S = WS[: 2 * n], WS[2 * n :]
-    for j in range(n):
-        S[mode_slice(j + 1), mode_slice(j + 1)] = locs[j]
+    S.reshape(n, 2, n, 2)[range(n), :, range(n)] = locs  # as in ``symplectic_form``
     steps = []
     sweep_off_max = []
     initial_profit = math.prod(m.tolist())

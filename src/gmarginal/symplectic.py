@@ -50,8 +50,8 @@ def symplectic_form(n: int) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("mode count must be a positive integer")
     omega = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        omega[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _J2
+    # [j, :, j] of the (n, 2, n, 2) view is mode j's diagonal 2x2 block
+    omega.reshape(n, 2, n, 2)[range(n), :, range(n)] = _J2
     return omega
 
 
@@ -167,11 +167,8 @@ def expand_two_mode(S4: np.ndarray, j: int, k: int, n: int) -> np.ndarray:
     if S4.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     S = np.eye(2 * n)
-    sj, sk = mode_slice(j), mode_slice(k)
-    S[sj, sj] = S4[0:2, 0:2]
-    S[sj, sk] = S4[0:2, 2:4]
-    S[sk, sj] = S4[2:4, 0:2]
-    S[sk, sk] = S4[2:4, 2:4]
+    ids = np.array((2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1))
+    S[ids[:, None], ids] = S4  # the open mesh of np.ix_(ids, ids), built without its overhead
     return S
 
 
@@ -334,8 +331,11 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     bound must be at least 1) and scrambled by a product of 4 n^2 random
     elementary symplectics: beam splitters with theta in [0, 2 pi), two-mode
     squeezers with mu in [0, 0.5], and local rotations/squeezes.  Each
-    generator rewrites only its own two or four rows of S, in place, at
-    O(n^2) cost, so the whole draw costs O(n^4).
+    generator multiplies only its own two or four rows of S, in place, at
+    O(n) cost, so the matrix work of the whole draw is O(n^3); its wall time
+    is set by the 4 n^2 draws of the random generator.  V is formed once as
+    F F^T with F = S D^(1/2); NumPy computes a matrix times its own
+    transpose as one triangle and mirrors it, so V is exactly symmetric.
 
     Returns:
         (V, S_used, kappa_used) with V = S_used D S_used^T, where D is the
@@ -356,25 +356,20 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     for _ in range(4 * n * n):
         kind = rng.choice(kinds, p=probs)
         if kind in ("bs", "sq2"):
-            j, k = np.sort(rng.choice(n, size=2, replace=False)) * 2
-            ids = np.array([j, j + 1, k, k + 1])
+            j, k = (np.sort(rng.choice(n, size=2, replace=False)) * 2).tolist()
+            ids = [j, j + 1, k, k + 1]
             if kind == "bs":
                 G = _bs_block(rng.uniform(0.0, 2.0 * np.pi))
             else:
                 G = _sq_block(rng.uniform(0.0, 0.5))
         else:
             j = 2 * int(rng.integers(1, n + 1)) - 2
-            ids = np.array([j, j + 1])
+            ids = [j, j + 1]
             if kind == "rot":
                 G = _rotation(rng.uniform(0.0, 2.0 * np.pi))
             else:
                 r = rng.uniform(0.0, 0.5)
                 G = np.diag([np.exp(r), np.exp(-r)])
-        # only the generator's own rows of S change; they are its rows of the
-        # dense 2n x 2n generator times S, which rounds as the dense product
-        # does (a product with the 4x4 block alone need not), at O(n^2)
-        rows = np.zeros((ids.size, 2 * n))
-        rows[:, ids] = G
-        S[ids] = rows @ S
-    V = S @ np.diag(np.repeat(kappa, 2)) @ S.T
-    return 0.5 * (V + V.T), S, kappa
+        S[ids] = G @ S[ids]
+    F = S * np.sqrt(np.repeat(kappa, 2))
+    return F @ F.T, S, kappa

@@ -274,3 +274,38 @@ class TestRandomState:
             gm.random_state(2, seed=1, kappa_range=(0.5, 2.0))
         with pytest.raises(ValueError):
             gm.random_state(0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_replay_of_the_draws_as_dense_generators(self, n):
+        # replays random_state's rng calls in their order and multiplies the
+        # dense 2n x 2n generators, so a generator applied to the wrong rows fails
+        seed = 17
+        V, S, kappa = gm.random_state(n, seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(kappa, rng.uniform(1.0, 4.0, size=n))
+        kinds = ("bs", "rot", "sq2", "sq1") if n >= 2 else ("rot", "sq1")
+        probs = (0.4, 0.25, 0.2, 0.15) if n >= 2 else (0.6, 0.4)
+        S_ref = np.eye(2 * n)
+        for _ in range(4 * n * n):
+            kind = rng.choice(kinds, p=probs)
+            if kind == "bs":
+                j, k = np.sort(rng.choice(n, size=2, replace=False)) + 1
+                G = gm.beam_splitter_pair(rng.uniform(0.0, 2.0 * np.pi), j, k, n)
+            elif kind == "sq2":
+                j, k = np.sort(rng.choice(n, size=2, replace=False)) + 1
+                G = gm.squeezer_pair(rng.uniform(0.0, 0.5), j, k, n)
+            else:
+                j = int(rng.integers(1, n + 1))
+                if kind == "rot":
+                    phi = rng.uniform(0.0, 2.0 * np.pi)
+                    block = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+                else:
+                    r = rng.uniform(0.0, 0.5)
+                    block = np.diag([math.exp(r), math.exp(-r)])
+                G = np.eye(2 * n)
+                G[gm.mode_slice(j), gm.mode_slice(j)] = block
+            S_ref = G @ S_ref
+        assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+        assert np.array_equal(V, V.T)
+        D = np.diag(np.repeat(kappa, 2))
+        assert np.abs(V - S_ref @ D @ S_ref.T).max() <= 1e-12 * np.abs(V).max()
