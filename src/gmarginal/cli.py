@@ -11,6 +11,7 @@ Exit codes: 0 success / compatible, 1 incompatible or verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -132,24 +133,12 @@ def _emit(doc, out_path=None) -> None:
         sys.stdout.write(dumps(doc) + "\n")
 
 
-def _certificate_doc(cert) -> dict:
-    return {
-        "kappa_sorted": cert.kappa_sorted,
-        "m_sorted": cert.m_sorted,
-        "partial_sum_slacks": cert.partial_sum_slacks,
-        "tail_slack": cert.tail_slack,
-        "compatible": cert.compatible,
-    }
-
-
 def run_check(global_path, local_path) -> int:
     kappa = _load_vector(global_path)
     m = _load_vector(local_path)
     cert = dominates(kappa, m)
     physical = _above_vacuum(cert.kappa_sorted[0])
-    doc = _certificate_doc(cert)
-    doc["physical"] = physical
-    _emit(doc)
+    _emit({**dataclasses.asdict(cert), "physical": physical})
     return 0 if (cert.compatible and physical) else 1
 
 
@@ -186,12 +175,10 @@ def run_decompose(matrix_path) -> int:
     # both spectra are measured numerically from the same matrix, so the
     # verdict allows round-off in the slack signs on boundary instances
     _, compatible = _within_slack(cert)
-    doc = _certificate_doc(cert)
-    doc["compatible"] = compatible
     doc = {
         "kappa": cert.kappa_sorted,
         "m": cert.m_sorted,
-        "certificate": doc,
+        "certificate": dataclasses.asdict(dataclasses.replace(cert, compatible=compatible)),
     }
     _emit(doc)
     return 0 if compatible else 1

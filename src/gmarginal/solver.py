@@ -34,14 +34,13 @@ from .symplectic import (
     VERIFY_TOL,
     _block_roots,
     _bs_block,
-    _local_normal_form,
     _omega_gram,
     _positive_finite,
     _sq_block,
     _sqrt_det,
     _subtract_omega,
     _symplectic_residual,
-    validate_covariance,
+    local_normal_form,
 )
 from .two_mode import _pivot_factor, bs_param, pair_factor, sq_param
 
@@ -213,14 +212,13 @@ def jacobi_decompose(V):
             ``_MAX_SWEEPS`` sweeps (the message names the pair whose
             off-block is largest against its bound), or a pivot loses
             accuracy.
-        Any exception raised after V is validated carries the run as
+        Any exception raised once the sweeps start carries the run as
         ``err.trace``, a JacobiTrace: ``converged`` is True only for a
         vacuum rejection, and a run stopped inside a sweep ends
         ``sweep_off_max`` with that sweep's largest off-block so far.
     """
-    V = validate_covariance(V)
-    n = V.shape[0] // 2
-    W, locs, m = _local_normal_form(V)
+    W, locs, m = local_normal_form(V)
+    n = m.size
     WS = np.concatenate((W, np.zeros_like(W)))  # the stacked [W; S]
     W, S = WS[: 2 * n], WS[2 * n :]
     S.reshape(n, 2, n, 2)[range(n), :, range(n)] = locs  # as in ``symplectic_form``
@@ -239,9 +237,7 @@ def jacobi_decompose(V):
         return ids, rows, block, off, bound
 
     def trace():
-        # a pivot error stops a sweep before its largest off-block is appended
-        off_max = sweep_off_max if len(sweep_off_max) == sweeps else [*sweep_off_max, worst]
-        return JacobiTrace(steps, sweeps, converged, initial_profit, off_max)
+        return JacobiTrace(steps, sweeps, converged, initial_profit, sweep_off_max)
 
     pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
     sweeps = 0
@@ -252,10 +248,11 @@ def jacobi_decompose(V):
             sweeps += 1
             pivoted = False
             worst = 0.0
+            sweep_off_max.append(worst)  # kept current, so an error mid-sweep leaves it right
             for j, k in pairs:
                 ids, rows, block, off, bound = read_pair(j, k)
                 if off > worst:
-                    worst = off
+                    worst = sweep_off_max[-1] = off
                 if off <= bound:
                     continue
                 pivoted = True
@@ -263,7 +260,6 @@ def jacobi_decompose(V):
                 factors[j - 1] = math.ldexp(*_sqrt_det(P[0][0], P[0][1], P[1][1]))
                 factors[k - 1] = math.ldexp(*_sqrt_det(P[2][2], P[2][3], P[3][3]))
                 steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
-            sweep_off_max.append(worst)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
         if pivoted:

@@ -269,19 +269,17 @@ def thermal_eigenvalues(params, count: int):
     n = p.size
     xi = (p - 1.0) / (p + 1.0)
     base = float(np.prod(1.0 - xi))
-    heap = [(-base, (0,) * n)]
+    # an entry is (-value, multi-index, last): ``last`` is the coordinate the
+    # multi-index was last incremented at, its last nonzero entry (0 at the
+    # root).  Multi-indices are unique, so ``last`` never breaks a tie
+    heap = [(-base, (0,) * n, 0)]
     out = []
     while heap and len(out) < count:
-        negval, idx = heapq.heappop(heap)
+        negval, idx, last = heapq.heappop(heap)
         out.append((-negval, idx))
         # A multi-index is generated exactly once: only coordinates at or
         # after its last nonzero entry may be incremented.
-        first = 0
-        for j in range(n - 1, -1, -1):
-            if idx[j] > 0:
-                first = j
-                break
-        for j in range(first, n):
+        for j in range(last, n):
             child = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-            heapq.heappush(heap, (negval * float(xi[j]), child))
+            heapq.heappush(heap, (negval * float(xi[j]), child, j))
     return out

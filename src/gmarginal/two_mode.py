@@ -274,13 +274,12 @@ def solve_couplings(m1, m2, kappa1, kappa2):
     """
     args = (m1, m2, kappa1, kappa2)
     _positive_finite(args)
-    # the terms below reach degree 4 in the inputs, so when the largest input
-    # leaves [2^-200, 2^200] they are formed on the inputs times 2^-e and the
+    # the terms below reach degree 4 in the inputs, so they are formed on the
+    # inputs times 2^-e, which brings the largest into [1/2, 1), and the
     # couplings scaled back by 2^e.  Power-of-two scaling is exact, so the
-    # result is the unscaled formula's bit for bit wherever that stays in range
+    # result depends only on the inputs' relative scale
     e = math.frexp(max(args))[1]
-    e = 0 if -200 <= e <= 200 else e
-    a, b, c, d = (math.ldexp(x, -e) for x in args) if e else args
+    a, b, c, d = (math.ldexp(x, -e) for x in args)
     P = 0.5 * ((c**2 + d**2) - (a**2 + b**2))
     g = a * b
     if g - abs(P) < c * d - COUPLING_TOL * g:

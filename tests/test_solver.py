@@ -351,7 +351,7 @@ class TestJacobiAgainstReference:
 
 
 def test_jacobi_validates_once(monkeypatch):
-    """Once in jacobi_decompose; never in the local normal form or a spectral pre-check."""
+    """Once per jacobi_decompose, inside ``local_normal_form``; never in a spectral pre-check."""
     calls = []
     real = validate_covariance
 
@@ -359,7 +359,7 @@ def test_jacobi_validates_once(monkeypatch):
         calls.append(1)
         return real(V, *args, **kwargs)
 
-    for module in (solver, spectra, symplectic):
+    for module in (spectra, symplectic):
         monkeypatch.setattr(module, "validate_covariance", counted)
     V = gm.random_state(3, seed=1)[0]
     gm.local_normal_form(V)
