@@ -25,7 +25,7 @@ from .exceptions import (
 )
 from .solver import synthesize, verify
 from .spectra import _above_vacuum, _within_slack, dominates, symplectic_spectrum, williamson
-from .symplectic import _positive_finite, local_parameters, random_state, validate_covariance
+from .symplectic import _positive_finite, local_parameters, random_state
 from .two_mode import reconstruct_two_mode
 
 
@@ -111,26 +111,27 @@ def _load_matrix(path) -> np.ndarray:
     data = doc["data"]
     if not isinstance(data, list) or len(data) != 4 * n * n:
         raise InputError(f"{path}: 'data' must hold exactly 4*n^2 numbers")
-    return validate_covariance(_numbers(path, data).reshape(2 * n, 2 * n))
+    return _numbers(path, data).reshape(2 * n, 2 * n)
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
     return {"n": M.shape[0] // 2, "data": M.reshape(-1)}
 
 
-def _write(path, doc) -> None:
+def _emit(doc, path=None) -> None:
+    """Write doc as one JSON line to the file path, or to stdout when path is None.
+
+    The file is opened before doc is serialized, so a serialization error
+    leaves it empty.
+    """
+    if path is None:
+        sys.stdout.write(dumps(doc) + "\n")
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dumps(doc) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(doc, out_path=None) -> None:
-    if out_path:
-        _write(out_path, doc)
-    else:
-        sys.stdout.write(dumps(doc) + "\n")
 
 
 def run_check(global_path, local_path) -> int:
@@ -143,16 +144,7 @@ def run_check(global_path, local_path) -> int:
 
 
 def _trace_doc(trace) -> dict:
-    steps = [
-        {
-            "stage": st.stage,
-            "kind": st.kind,
-            "pair": st.pair,
-            "param": st.param,
-            "diag_after": st.diag_after,
-        }
-        for st in trace.steps
-    ]
+    steps = [{k: v for k, v in dataclasses.asdict(st).items() if k != "transfer"} for st in trace.steps]
     return {"steps": steps, "stage_counts": trace.stage_counts}
 
 
@@ -161,9 +153,9 @@ def run_synthesize(global_path, local_path, out_path, trace_path=None) -> int:
     m = np.sort(_load_vector(local_path))
     S, V, trace = synthesize(kappa, m)
     report = verify(S, kappa, m)
-    _write(out_path, {"V": _matrix_doc(V), "S": _matrix_doc(S)})
+    _emit({"V": _matrix_doc(V), "S": _matrix_doc(S)}, out_path)
     if trace_path:
-        _write(trace_path, _trace_doc(trace))
+        _emit(_trace_doc(trace), trace_path)
     return 0 if report.ok else 1
 
 
@@ -240,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=lambda a: run_reconstruct2(a.m1, a.m2, a.k1, a.k2, a.out))
 
-    p = sub.add_parser("random", help="reproducible random physical covariance matrix")
+    p = sub.add_parser("random", help="seeded random covariance matrix, physical in exact arithmetic only")
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kappa-min", type=float, default=1.0)

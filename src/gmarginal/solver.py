@@ -507,13 +507,11 @@ def verify(S, kappa, m) -> VerifyReport:
     # E's rounding bound: sum(d0), sum(d1) are ||Q||_F^2, ||P||_F^2 (see the docstring)
     g = (n + 2) * 2.0**-53
     rounding = 2.0 * g / (1.0 - g) * math.sqrt(d0.sum()) * math.sqrt(d1.sum())
-    # ||E||_F: where E's squares could leave the double range, E is scaled by
-    # 2^-s first and the norm by 2^s after, in two exact halves (a norm past
+    # ||E||_F: E is scaled by 2^-s into [1/2, 1) first, so its squares stay
+    # in range, and the norm by 2^s after, in two exact halves (a norm past
     # the largest double comes out inf)
     s = math.frexp(float(max(E.max(), -E.min())))[1]
-    s = 0 if -480 <= s <= 480 else s
-    if s:
-        E = np.ldexp(E, -s)
+    E = np.ldexp(E, -s)
     res_spec = math.sqrt(float(np.vdot(E, E))) * 2.0 ** (s // 2) * 2.0 ** (s - s // 2) + rounding
     tol_s = VERIFY_TOL * (1.0 + max(kappa[-1], m[-1]))
     ok = bool(res_symp <= VERIFY_TOL and res_diag <= tol_s and res_spec <= tol_s)

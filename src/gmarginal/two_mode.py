@@ -28,7 +28,6 @@ from .exceptions import (
 )
 from .symplectic import (
     COUPLING_TOL,
-    _bs_block,
     _factor_gate,
     _positive_finite,
     _spd_roots,
@@ -377,7 +376,8 @@ def diagonalize_balanced(form: TwoModeStandardForm):
     raise ValueError("couplings are not balanced: need k_p = k_x or k_p = -k_x")
 
 
-_SWAP = _bs_block(np.pi / 2.0)
+#: The exact mode swap [[0, I], [-I, 0]]: (q_a, p_a, q_b, p_b) -> (q_b, p_b, -q_a, -p_a).
+_SWAP = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
 
 
 def pair_factor(a, b, t_a, t_b) -> np.ndarray:

@@ -104,6 +104,13 @@ class TestSynthesize:
         assert first["stage"] == 1 and first["kind"] == "BS"
         assert first["pair"] == [1, 6]  # mode indices are 1-based
         assert np.abs(np.array(first["diag_after"]) - [6, 2, 3, 4, 5, 7, 18]).max() < 1e-9
+        # each step is the library's SynthesisStep without its transfer, in field order
+        _, _, lib = gm.synthesize(np.array(SEVEN_KAPPA), np.array(SEVEN_M))
+        for got, step in zip(tdoc["steps"], lib.steps, strict=True):
+            assert list(got) == ["stage", "kind", "pair", "param", "diag_after"]
+            param = list(step.param) if isinstance(step.param, tuple) else step.param
+            assert got == {"stage": step.stage, "kind": step.kind, "pair": list(step.pair),
+                           "param": param, "diag_after": list(step.diag_after)}
 
     def test_unsorted_input_is_sorted_for_the_solver(self, tmp_path, capsys):
         g = write_vector(tmp_path / "g.json", [18, 2, 3, 4, 5, 12, 1.0])
@@ -398,6 +405,13 @@ class TestInputErrors:
         out = tmp_path / "absent" / "out.json"
         reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'"
         assert run(capsys, ["synthesize", g, g, str(out)]) == (2, "", f"error: cannot write {out}: {reason}\n")
+
+    def test_empty_output_path_is_a_file_name(self, tmp_path, capsys, monkeypatch):
+        """--out '' names a file, which cannot be opened; it does not mean stdout."""
+        monkeypatch.chdir(tmp_path)
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"
+        argv = ["reconstruct2", "--m1", "2", "--m2", "2", "--k1", "1", "--k2", "3", "--out", ""]
+        assert run(capsys, argv) == (2, "", f"error: cannot write : {reason}\n")
 
     @pytest.mark.parametrize("exc", [NumericalError, InfeasibleRedistributionError])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, exc):

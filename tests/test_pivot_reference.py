@@ -27,7 +27,8 @@ GATE_ENTRIES = tuple(
     for b in range(a, 4)
 )
 
-SWAP = symplectic._bs_block(np.pi / 2.0)
+# the exact mode swap [[0, I], [-I, 0]], signed zeros included
+SWAP = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, -0.0, 0.0, 0.0], [-0.0, -1.0, 0.0, 0.0]])
 
 
 def nested_spd_roots(x0, xk, x1):

@@ -143,6 +143,8 @@ class TestVacuumRule:
 class TestSymmetryRule:
     @pytest.mark.parametrize("command", ["decompose", "williamson"])
     def test_cli_rejects_what_the_library_rejects(self, tmp_path, capsys, command):
+        """Past the allowance the CLI prints the library's error; inside it, a
+        matrix prints what its symmetrized copy prints."""
         V = asymmetric_pair(5e-9)
         with pytest.raises(InvalidCovarianceError, match="not symmetric"):
             gm.symplectic_spectrum(V)
@@ -150,6 +152,12 @@ class TestSymmetryRule:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: covariance matrix is not symmetric\n"
+        near = asymmetric_pair(5e-11)  # the allowance is DEFAULT_TOL (1 + 3) = 4e-10
+        outs = []
+        for name, M in (("near", near), ("sym", 0.5 * near + 0.5 * near.T)):
+            assert main([command, write_matrix(tmp_path / f"{name}.json", M)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_jacobi_applies_the_symmetry_rule(self):
         with pytest.raises(InvalidCovarianceError, match="not symmetric"):

@@ -414,6 +414,19 @@ class TestPairFactor:
             )
             assert gm.is_symplectic(S, tol=1e-9)
 
+    def test_swaps_are_exact(self):
+        """A swapped source (target) order exchanges the sorted call's two mode
+        columns (rows) and negates one of them, with no round-off."""
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            t_lo, t_hi, s_lo, s_hi = random_compatible_quadruple(rng)
+            S = gm.pair_factor(s_lo, s_hi, t_lo, t_hi)
+            cols = np.hstack([-S[:, 2:], S[:, :2]])  # S @ [[0, I], [-I, 0]]
+            both = np.vstack([cols[2:], -cols[:2]])  # [[0, I], [-I, 0]] @ cols
+            assert (gm.pair_factor(s_hi, s_lo, t_lo, t_hi) == cols).all()
+            assert (gm.pair_factor(s_lo, s_hi, t_hi, t_lo) == np.vstack([S[2:], -S[:2]])).all()
+            assert (gm.pair_factor(s_hi, s_lo, t_hi, t_lo) == both).all()
+
     def test_random_feasible_targets(self):
         rng = np.random.default_rng(59)
         for _ in range(N_SAMPLES):
