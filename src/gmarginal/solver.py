@@ -1,8 +1,10 @@
 """Constructive solvers: pairwise normal-form iteration and spectrum synthesis.
 
-``jacobi_decompose`` diagonalizes a covariance matrix by sweeping two-mode
+``jacobi_decompose`` diagonalizes a covariance matrix by sweeps of two-mode
 pivots, driving the profit function prod_j sqrt(det B_j) down to the product
-of the symplectic eigenvalues.  ``synthesize`` goes the other way: given
+of the symplectic eigenvalues.  A sweep visits every pair once, in
+round-robin rounds of disjoint pairs, and applies each round's pivots as one
+block-diagonal congruence.  ``synthesize`` goes the other way: given
 compatible global and local parameters it builds a state realizing them with
 at most n - 1 two-mode transformations, scheduled in four stages:
 
@@ -132,7 +134,10 @@ def _pair_ids(i, j, n):
 
 def _gather_pair(WS, i, j):
     """(ids, rows, block) of modes i and j in the stacked [W; S]: the pair's
-    ``_pair_ids``, its eight rows and W's 4x4 pair block, read by one ``take``."""
+    ``_pair_ids``, its eight rows and W's 4x4 pair block, read by one ``take``.
+
+    ``synthesize`` reads each step's pair with it; ``jacobi_decompose``
+    reads a whole round's pair blocks as one strided view instead."""
     ids = _pair_ids(i, j, WS.shape[1] // 2)
     rows = WS.take(ids, axis=0)
     return ids, rows, rows[:4].take(ids[:4], axis=1)
@@ -147,7 +152,8 @@ def _apply_pair(WS, T4, ids, rows):
     together, one scatter writes them back and one write mirrors W's rows
     into its columns, so the cost is O(n).  The 4x4 pair block is
     symmetrized before it is written, so W stays exactly symmetric.
-    Returns that pair block.
+    Returns that pair block.  ``synthesize`` applies each step with it;
+    ``jacobi_decompose`` applies a round of pivots as one batched congruence.
     """
     half = WS.shape[1]
     cols = ids[:4]
@@ -161,8 +167,33 @@ def _apply_pair(WS, T4, ids, rows):
     return block
 
 
+def _round_robin(n):
+    """The rounds of one ``jacobi_decompose`` sweep over n modes: lists of
+    disjoint pairs (j, k), j < k, each list ordered by j.
+
+    Brent and Luk's ordering (SIAM J. Sci. Stat. Comput. 6, 1985), moved
+    as in Golub and Van Loan's "music chairs": N = n + n % 2 seats in two
+    rows, the even modes on top and the odd ones below, each top seat
+    paired with the seat below it.  After each round the first top seat
+    keeps its mode and the others move one seat round the ring, so the
+    N - 1 rounds meet every pair once.  For odd n, seat N holds no mode,
+    and the mode paired with it sits the round out.  The first round is
+    (1, 2), (3, 4), ...
+    """
+    N = n + n % 2
+    top, bottom = list(range(2, N + 1, 2)), list(range(1, N, 2))
+    rounds = []
+    for _ in range(N - 1):
+        rounds.append(sorted(tuple(sorted(p)) for p in zip(top, bottom) if max(p) <= n))
+        top, bottom = top[:1] + bottom[:1] + top[1:-1], bottom[1:] + top[-1:]
+    return rounds
+
+
+_EYE4 = np.eye(4)
+
+
 def jacobi_decompose(V):
-    """Diagonalize a physical covariance matrix by cyclic two-mode pivots.
+    """Diagonalize a physical covariance matrix by rounds of two-mode pivots.
 
     Each pivot applies the inverse normal-form factor of the pair's 4x4
     submatrix, which zeroes the off-block and leaves both single-mode blocks
@@ -174,16 +205,29 @@ def jacobi_decompose(V):
     forces convergence; a run that does not converge within ``_MAX_SWEEPS``
     sweeps has failed numerically and raises.
 
-    The pairs (j, k), k > j, are visited row by row, and each visit reads
-    its pair once: ``_gather_pair`` takes the pair's four rows of W and of
-    S from one stacked (4n x 2n) [W; S], and W's 4x4 pair block from them.
-    The skip test reads the off-block max-norm from that block as Python
-    floats; a pivot hands the block to the kernel, and one product with the
-    congruence moves all eight rows.  It writes those rows and W's four
-    columns, and reads its two new profit factors as ``_sqrt_det`` of the
-    4x4 pair block it writes.  So a visit costs O(n) on top of the O(1)
-    scalar 4x4 work, and a sweep over all pairs costs O(n^3).  The rescan
-    after an exhausted sweep budget reads each pair the same way.
+    A sweep visits every pair (j, k), j < k, once, in the round-robin
+    order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985; see
+    ``_round_robin``): n - 1 rounds of n/2 disjoint pairs, or n rounds of
+    (n - 1)/2 for odd n, one mode sitting each round out.  The first round
+    is (1, 2), (3, 4), ..., and each pair is oriented j < k, so the kernel
+    gives mode j the smaller kappa.  W = S V S^T and S are kept with their
+    modes in the current round's pair order, so the round's 4x4 pair
+    blocks are a strided diagonal view of W.  The skip test of each pair
+    reads that view; the kernel runs on each pair the test does not skip,
+    in the round's order.  Disjoint pairs do not touch each other's
+    blocks, so the round's factors T_p (the identity for a skipped pair)
+    are then applied together, as one block-diagonal congruence: one
+    batched product T_p [W; S] on the pairs' rows, one T_p (T W)^T on
+    W's columns, and one symmetrization.  The same copy moves W and S
+    into the next round's pair order, by one precomputed permutation, and
+    each pivot reads its two new profit factors as ``_sqrt_det`` of its
+    modes' symmetrized 2x2 blocks.  A round with no pivot only moves them.
+    So a round costs O(n^2) on top of the O(1) scalar work per pivot, and
+    a sweep O(n^3).  A kernel error mid-round first applies and records
+    the round's earlier pivots, then raises.  The first round's order is
+    the mode order, so a run that ends after whole sweeps has W and S in
+    it; the rescan after an exhausted sweep budget reads every pair's
+    off-block from that W.
 
     The skip rule is relative, the symplectic form of the Demmel-Veselic
     stopping rule (SIMAX 13, 1992): pair (j, k) is not pivoted when its
@@ -200,7 +244,8 @@ def jacobi_decompose(V):
     Returns:
         (S, kappa, JacobiTrace) with every off-block of S V S^T within the
         skip rule, kappa the sorted diagonal parameters and ``converged``
-        True.
+        True.  The trace lists the pivots round by round, each round in
+        its pair order.
 
     Raises:
         InvalidCovarianceError: V is not a valid covariance matrix, a
@@ -219,27 +264,71 @@ def jacobi_decompose(V):
     """
     W, locs, m = local_normal_form(V)
     n = m.size
-    WS = np.concatenate((W, np.zeros_like(W)))  # the stacked [W; S]
-    W, S = WS[: 2 * n], WS[2 * n :]
+    h, q, size = n // 2, 4 * (n // 2), 2 * n  # pairs per round, their rows, W's order
+    # G holds W, S and the next round's Y; A holds T W, T S and Y = T (T W)^T.
+    # Each holds its modes in slot order: the round's pairs, then the mode
+    # sitting out
+    G, A = np.zeros((3, size, size)), np.empty((3, size, size))
+    G[0] = W
+    W, S = G[0], G[1]
     S.reshape(n, 2, n, 2)[range(n), :, range(n)] = locs  # as in ``symplectic_form``
+    T = np.tile(_EYE4, (h, 1, 1))  # the round's factors, the identity for a skipped pair
+    blocks = W[:q, :q].reshape(h, 4, h, 4).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+    cross = blocks[:, :2, 2:]
+    rows_in, rows_out = G[:2, :q].reshape(2, h, 4, size), A[:2, :q].reshape(2, h, 4, size)
+    cols_in, cols_out = A[0, :, :q].reshape(size, h, 4).transpose(1, 2, 0), A[2, :q].reshape(h, 4, size)
+    WS_in, WS_out = G[:2].reshape(2 * size, size), A[:2].reshape(2 * size, size)
+    SY_in, SY_out = A[1:].reshape(2 * size, size), G[1:].reshape(2 * size, size)
+
+    schedule = _round_robin(n)
+    orders = [[t - 1 for pair in pairs for t in pair] for pairs in schedule]
+    orders = [order + sorted(set(range(n)).difference(order)) for order in orders]
+    rounds = []
+    for r, pairs in enumerate(schedule):
+        following = orders[(r + 1) % len(orders)]
+        slot = {t: i for i, t in enumerate(orders[r])}
+        # the rows, in this round's order, of the next round's rows
+        ids = np.array([(2 * slot[t], 2 * slot[t] + 1) for t in following], dtype=np.intp).ravel()
+        slot = {t: i for i, t in enumerate(following)}
+        # each pair's modes (from 0) and their slots in the next round's order
+        moves = [(j - 1, k - 1, slot[j - 1], slot[k - 1]) for j, k in pairs]
+        rounds.append((moves, ids, np.concatenate((ids, ids + size))))
+
     steps = []
     sweep_off_max = []
     initial_profit = math.prod(m.tolist())
     factors = [d for _, _, d in _block_roots(W)]
 
-    def read_pair(j, k):
-        # the skip test's one read of the pair, which a pivot then reuses
-        ids, rows, block = _gather_pair(WS, j, k)
-        (_, _, c00, c01), (_, _, c10, c11) = block[:2].tolist()
-        off = max(abs(c00), abs(c01), abs(c10), abs(c11))
-        # the Demmel-Veselic bound; two square roots keep it in range
-        bound = _JACOBI_EPS * math.sqrt(factors[j - 1]) * math.sqrt(factors[k - 1])
-        return ids, rows, block, off, bound
+    def bound(j, k):
+        # the Demmel-Veselic bound of modes j and k (from 0); two square
+        # roots keep it in range
+        return _JACOBI_EPS * math.sqrt(factors[j]) * math.sqrt(factors[k])
+
+    def finish_round(ids, ids2, pivots):
+        # the round's congruence, and the move into the next round's order
+        if not pivots:
+            np.take(WS_in, ids2, axis=0, out=WS_out)
+            np.take(A[0], ids, axis=1, out=W)
+            S[...] = A[1]
+            return
+        np.matmul(T, rows_in, out=rows_out)
+        A[:2, q:] = G[:2, q:]  # the mode sitting out
+        np.matmul(T, cols_in, out=cols_out)
+        A[2, q:] = A[0, :, q:].T
+        T[...] = _EYE4
+        np.take(SY_in, ids2, axis=0, out=SY_out)
+        np.take(G[2], ids, axis=1, out=A[0])
+        np.multiply(A[0], 0.5, out=A[0])  # halved first: a sum could overflow
+        np.add(A[0], A[0].T, out=W)
+        d, c = W.diagonal().tolist(), W.diagonal(1)[0::2].tolist()
+        for off, (j, k, sj, sk) in pivots:
+            factors[j] = math.ldexp(*_sqrt_det(d[2 * sj], c[sj], d[2 * sj + 1]))
+            factors[k] = math.ldexp(*_sqrt_det(d[2 * sk], c[sk], d[2 * sk + 1]))
+            steps.append(JacobiStep(pair=(j + 1, k + 1), off_norm=off, profit=math.prod(factors)))
 
     def trace():
         return JacobiTrace(steps, sweeps, converged, initial_profit, sweep_off_max)
 
-    pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
     sweeps = 0
     converged = False
     pivoted = True
@@ -249,25 +338,31 @@ def jacobi_decompose(V):
             pivoted = False
             worst = 0.0
             sweep_off_max.append(worst)  # kept current, so an error mid-sweep leaves it right
-            for j, k in pairs:
-                ids, rows, block, off, bound = read_pair(j, k)
-                if off > worst:
-                    worst = sweep_off_max[-1] = off
-                if off <= bound:
-                    continue
-                pivoted = True
-                P = _apply_pair(WS, _pivot_factor(block), ids, rows).tolist()
-                factors[j - 1] = math.ldexp(*_sqrt_det(P[0][0], P[0][1], P[1][1]))
-                factors[k - 1] = math.ldexp(*_sqrt_det(P[2][2], P[2][3], P[3][3]))
-                steps.append(JacobiStep(pair=(j, k), off_norm=off, profit=math.prod(factors)))
+            for moves, ids, ids2 in rounds:
+                pivots = []
+                try:
+                    offs = np.abs(cross).max(axis=(1, 2)).tolist()
+                    for p, move in enumerate(moves):
+                        off = offs[p]
+                        if off > worst:
+                            worst = sweep_off_max[-1] = off
+                        if off <= bound(move[0], move[1]):
+                            continue
+                        T[p] = _pivot_factor(blocks[p])
+                        pivots.append((off, move))
+                finally:
+                    finish_round(ids, ids2, pivots)
+                pivoted = pivoted or bool(pivots)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
         if pivoted:
-            left = []
-            for j, k in pairs:
-                *_, off, bound = read_pair(j, k)
-                if off > bound:
-                    left.append((off / bound, j, k, off))
+            offs = np.abs(W).reshape(n, 2, n, 2).max(axis=(1, 3)).tolist()
+            left = [
+                (offs[j][k] / bound(j, k), j + 1, k + 1, offs[j][k])
+                for j in range(n)
+                for k in range(j + 1, n)
+                if offs[j][k] > bound(j, k)
+            ]
             if left:
                 ratio, j, k, off = max(left)
                 raise NumericalError(

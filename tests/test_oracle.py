@@ -59,7 +59,8 @@ def oracle_verify_error(S, kappa):
 
 
 def _states():
-    for n in (2, 4, 8, 12):
+    # n = 7 is odd, so one mode sits out each Jacobi round
+    for n in (2, 4, 7, 8, 12):
         V, _ = bloch_messiah_state(np.random.default_rng(100 + n), n)
         yield f"bloch-messiah-{n}", V
     kappa = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0])

@@ -211,7 +211,7 @@ class TestWilliamsonClusters:
 
 def one_kernel_states():
     """The oracle's states, the near-tie ladder and an n = 12 Bloch-Messiah state."""
-    states = dict(ORACLE_STATES)  # Bloch-Messiah n = 2, 4, 8 and a tied-kappa synthesis
+    states = dict(ORACLE_STATES)  # Bloch-Messiah n = 2, 4, 7, 8, 12 and a tied-kappa synthesis
     for seed in (0, 1, 2):
         states[f"ladder-{seed}"] = ladder_state(seed)[0]
     states["bloch-messiah-12"] = bloch_messiah_state(np.random.default_rng(12), 12)[0]
