@@ -33,7 +33,6 @@ from .spectra import (
     check_physical,
     dominates,
     symplectic_spectrum,
-    thermal_eigenvalues,
     williamson,
 )
 from .symplectic import (
@@ -107,7 +106,6 @@ __all__ = [
     "symplectic_inverse",
     "symplectic_spectrum",
     "synthesize",
-    "thermal_eigenvalues",
     "two_mode_invariants",
     "validate_covariance",
     "verify",

@@ -1,9 +1,7 @@
-"""Symplectic spectra, normal-form factorization, physicality and dominance
-tests, thermal eigenvalues."""
+"""Symplectic spectra, normal-form factorization, physicality and dominance tests."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,41 +243,3 @@ def _within_slack(cert: DominanceCertificate):
     worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
     return worst, bool(worst >= -COUPLING_TOL * (1.0 + float(np.sum(np.abs(cert.m_sorted)))))
 
-
-def thermal_eigenvalues(params, count: int):
-    """Largest ``count`` eigenvalues of a product thermal state, descending.
-
-    Each mode with local parameter m contributes a geometric ladder with
-    ratio xi = (m - 1) / (m + 1); the global eigenvalues are the products
-    prod_j (1 - xi_j) xi_j^(k_j) over occupation multi-indices k.  A
-    best-first expansion over the multi-index lattice yields the top values
-    without a fixed enumeration cutoff.  Ties are broken by lexicographic
-    multi-index order.
-
-    Returns:
-        List of (eigenvalue, multi_index) pairs.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("expected a nonempty vector of local parameters")
-    if not np.all(np.isfinite(p) & (p >= 1.0)):
-        raise ValueError("local thermal parameters must be positive finite reals, at least 1")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError("count must be a positive integer")
-    n = p.size
-    xi = (p - 1.0) / (p + 1.0)
-    base = float(np.prod(1.0 - xi))
-    # an entry is (-value, multi-index, last): ``last`` is the coordinate the
-    # multi-index was last incremented at, its last nonzero entry (0 at the
-    # root).  Multi-indices are unique, so ``last`` never breaks a tie
-    heap = [(-base, (0,) * n, 0)]
-    out = []
-    while heap and len(out) < count:
-        negval, idx, last = heapq.heappop(heap)
-        out.append((-negval, idx))
-        # A multi-index is generated exactly once: only coordinates at or
-        # after its last nonzero entry may be incremented.
-        for j in range(last, n):
-            child = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-            heapq.heappush(heap, (negval * float(xi[j]), child, j))
-    return out

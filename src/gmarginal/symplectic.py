@@ -237,10 +237,10 @@ def _block_roots(V: np.ndarray) -> list:
 def _sqrt_det(x0, xk, x1, block=None):
     """sqrt(det X) of the SPD X = [[x0, xk], [xk, x1]] as (d, e): sqrt(det X) = d 2^e.
 
-    Every 2x2 determinant of the package but one comes from here; the
-    other is ``two_mode.two_mode_invariants``, which forms det V of the
-    standard shape as (m_a m_b - k_x^2)(m_a m_b - k_p^2), so a more
-    accurate determinant has both sites to cover.  When det X leaves
+    Every 2x2 determinant of a matrix but one comes from here (``pair_factor``
+    takes its own from the spectra); the other is ``two_mode_invariants``'
+    det V = (m_a m_b - k_x^2)(m_a m_b - k_p^2) of the standard shape, so a
+    more accurate determinant has both sites to cover.  When det X leaves
     [2^-600, 2^600] (it over- or underflows far sooner than the entries
     do), d is taken of 4^-s X, with s from the binary exponents of x0 and
     x1, and e = 2s; elsewhere e = 0.  Power-of-two scaling is exact, so

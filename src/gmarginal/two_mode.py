@@ -32,7 +32,6 @@ from .symplectic import (
     _positive_finite,
     _spd_roots,
     _sqrt_det,
-    symplectic_inverse,
     validate_covariance,
 )
 
@@ -159,9 +158,9 @@ def _pivot_factor(M4):
     """Closed-form symplectic T with T M4 T^T = diag(k1, k1, k2, k2), k1 <= k2.
 
     The package's one two-mode normal form: ``jacobi_decompose`` pivots
-    with it, ``pair_factor`` inverts it, ``standard_form`` is its steps 0-1
-    (``_standard_shape``).  M4 is a positive definite 4x4 covariance block
-    [[A, C], [C^T, B]], of which only the upper triangle is read.  The work
+    with it, ``standard_form`` is its steps 0-1 (``_standard_shape``).  M4
+    is a positive definite 4x4 covariance block [[A, C], [C^T, B]], of
+    which only the upper triangle is read.  The work
     is one straight-line pass over Python floats: four ``_spd_roots`` and
     two ``_svd2`` calls, the 2x2 products written out, the closing gate as
     explicit residual expressions, and one array built for T at the end.
@@ -271,12 +270,22 @@ def solve_couplings(m1, m2, kappa1, kappa2):
         IncompatibleSpectraError: no real couplings exist, i.e.
             m1 * m2 - |P| < kappa1 * kappa2 beyond COUPLING_TOL * m1 * m2.
     """
+    return _couplings(m1, m2, kappa1, kappa2)[:2]
+
+
+def _couplings(m1, m2, kappa1, kappa2):
+    """``solve_couplings`` plus sqrt(det X) and sqrt(det P) of the standard form.
+
+    X = [[m1, k_x], [k_x, m2]], P = [[m1, k_p], [k_p, m2]]; both determinants
+    come from the spectra, not from the cancelling m1 m2 - k^2.  The roots
+    are NaN for spectra that COUPLING_TOL admits but no real state has.
+    """
     args = (m1, m2, kappa1, kappa2)
     _positive_finite(args)
     # the terms below reach degree 4 in the inputs, so they are formed on the
     # inputs times 2^-e, which brings the largest into [1/2, 1), and the
-    # couplings scaled back by 2^e.  Power-of-two scaling is exact, so the
-    # result depends only on the inputs' relative scale
+    # results scaled back by 2^e.  Power-of-two scaling is exact, so the
+    # results depend only on the inputs' relative scale
     e = math.frexp(max(args))[1]
     a, b, c, d = (math.ldexp(x, -e) for x in args)
     P = 0.5 * ((c**2 + d**2) - (a**2 + b**2))
@@ -292,13 +301,17 @@ def solve_couplings(m1, m2, kappa1, kappa2):
     diff_sq = max((g - P - kk) * (g - P + kk) / g, 0.0)  # (k_x - k_p)^2
     sum_sq = max((g + P - kk) * (g + P + kk) / g, 0.0)  # (k_x + k_p)^2
     Q = 0.5 * (diff_sq + sum_sq)
-    t_hi = 0.5 * (Q + np.sqrt(diff_sq * sum_sq))
-    kx = float(np.sqrt(t_hi))
+    root = math.sqrt(diff_sq * sum_sq)  # k_x^2 - k_p^2 = det P - det X
+    t_hi = 0.5 * (Q + root)
+    kx = math.sqrt(t_hi)
     # the smaller root satisfies t_hi * t_lo = P^2 exactly, so recover the
     # second coupling from the product invariant instead of the noisy root
     # and clip it so that k_x >= |k_p| survives round-off
-    kp = float(min(max(P / kx, -kx), kx)) if kx > 0.0 else 0.0
-    return math.ldexp(kx, e), math.ldexp(kp, e)
+    kp = min(max(P / kx, -kx), kx) if kx > 0.0 else 0.0
+    # det X + det P = (g - P)(g + P) / g + kk^2 / g and det X det P = kk^2
+    det_p = 0.5 * ((g - P) * (g + P) / g + kk * kk / g + root)
+    rp = math.sqrt(det_p) if det_p > 0.0 else math.nan
+    return tuple(math.ldexp(x, e) for x in (kx, kp, kk / rp, rp))
 
 
 def reconstruct_two_mode(m1, m2, kappa1, kappa2) -> np.ndarray:
@@ -383,15 +396,22 @@ _SWAP = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
 def pair_factor(a, b, t_a, t_b) -> np.ndarray:
     """General two-mode symplectic moving diagonal pair (a, b) to (t_a, t_b).
 
-    The result S satisfies: S diag(a, a, b, b) S^T has diagonal blocks
-    t_a * I and t_b * I, and its symplectic spectrum is still {a, b}.
-    Feasibility is the two-sided condition: the targets' sum must weakly
-    exceed the sources' sum while their spread must not exceed the sources'
-    spread.
+    S diag(a, a, b, b) S^T has diagonal blocks t_a * I and t_b * I, and its
+    symplectic spectrum is still {a, b}.  Feasibility is the two-sided
+    condition: the targets' sum must weakly exceed the sources' sum while
+    their spread must not exceed the sources' spread.
 
-    S is the inverse of the closed-form kernel ``_pivot_factor`` on the
-    reconstructed standard form, so it depends on (a, b, t_a, t_b) alone,
-    composed with mode swaps so that values land on the requested slots.
+    S is built forward from the sorted arguments.  X (+) P is the standard
+    form with locals (t_lo, t_hi) and spectrum D = diag(s_lo, s_hi), its
+    couplings and root determinants from ``_couplings``; S_q = X^(1/2) U D^(-1/2)
+    acts on the q quadratures and S_p = P^(1/2) W D^(-1/2) on the p ones, with
+    U, W from one ``_svd2`` of K = X^(1/2) P^(1/2) in ``_pivot_factor``'s gauge,
+    so S_q S_p^T = I.  Mode swaps then put the values on the requested slots.
+
+    Raises:
+        InfeasibleRedistributionError: the targets are not reachable.
+        NumericalError: S misses the FACTOR_TOL gate (S D S^T against the
+            standard form, and the symplecticity of S) relative to 1 + t_hi.
     """
     _positive_finite((a, b, t_a, t_b))
     s_lo, s_hi = sorted((float(a), float(b)))
@@ -401,7 +421,28 @@ def pair_factor(a, b, t_a, t_b) -> np.ndarray:
         raise InfeasibleRedistributionError(
             f"targets ({t_a}, {t_b}) are not reachable from ({a}, {b})"
         )
-    S = symplectic_inverse(_pivot_factor(reconstruct_two_mode(t_lo, t_hi, s_lo, s_hi)))
+    kx, kp, dx, dp = _couplings(t_lo, t_hi, s_lo, s_hi)
+    # X^(1/2) = (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X)) and P^(1/2) as flat triples
+    tx, tp = math.sqrt(t_lo + t_hi + 2.0 * dx), math.sqrt(t_lo + t_hi + 2.0 * dp)
+    xh = xh0, xh1, xh2 = (t_lo + dx) / tx, kx / tx, (t_hi + dx) / tx
+    ph = ph0, ph1, ph2 = (t_lo + dp) / tp, kp / tp, (t_hi + dp) / tp
+    psi, _, _, chi = _svd2(  # K = X^(1/2) P^(1/2)
+        xh0 * ph0 + xh1 * ph1, xh0 * ph1 + xh1 * ph2, xh1 * ph0 + xh2 * ph1, xh1 * ph1 + xh2 * ph2
+    )
+    # U D^(-1/2) and W D^(-1/2) as flat row-major 4-tuples, for U = R(psi) and
+    # W = R(chi)^T with their columns swapped, so that the first mode takes s_lo
+    cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
+    rl, rh = math.sqrt(s_lo), math.sqrt(s_hi)
+    uw = (-su / rl, cu / rh, cu / rl, su / rh), (sw / rl, cw / rh, cw / rl, -sw / rh)
+    # S_q on the q rows and columns (0::2), S_p on the p ones (1::2)
+    S = np.zeros((4, 4))
+    for r, (h0, h1, h2), (c0, c1, c2, c3) in zip((0, 1), (xh, ph), uw):
+        S[r::2, r::2] = (h0 * c0 + h1 * c2, h0 * c1 + h1 * c3), (h1 * c0 + h2 * c2, h1 * c1 + h2 * c3)
+    # the gate reads the nonzero blocks, S_q D S_q^T - X, S_p D S_p^T - P and S_q S_p^T - I
+    Sq, Sp = S[0::2, 0::2], S[1::2, 1::2]
+    fact = [(H * (s_lo, s_hi)) @ H.T - ((t_lo, k), (k, t_hi)) for H, k in ((Sq, kx), (Sp, kp))]
+    symp = Sq @ Sp.T - np.eye(2)
+    _factor_gate(float(np.max(np.abs(fact))), float(np.max(np.abs(symp))), 1.0 + t_hi)
     if a > b:
         S = S @ _SWAP
     if t_a > t_b:

@@ -107,3 +107,20 @@ def test_verify_bound_covers_high_precision_error(case):
     assert report.ok
     bound = report.spectrum_residual
     assert 0.0 < err <= bound, f"{case}: error {err:.2e}, bound {bound:.2e}"
+
+
+def test_general_step_keeps_the_requested_spectrum():
+    """random_state(10, seed=4116), whose GEN step moves (3.25, 1934.9) to (1082.6, 1472.1).
+
+    ``pair_factor`` takes the step's spectrum from its arguments; a factor of
+    the rounded standard-form matrix put S's spectrum 9.1e-12 relative off
+    kappa (1.1e-11 to 2.2e-11 under the non-FMA BLAS kernels, whose V differs).
+    The bound is not KAPPA_RTOL: the other steps' round-off alone reaches
+    1.7e-13 under OpenBLAS's Prescott kernel, with the GEN factor exactly rounded.
+    """
+    V, _, _ = gm.random_state(10, seed=4116)
+    kappa = gm.symplectic_spectrum(V)
+    S, _, trace = gm.synthesize(kappa, np.sort(gm.local_parameters(V)))
+    assert [step.kind for step in trace.steps].count("GEN") == 1
+    err = oracle_verify_error(S, kappa) / kappa[-1]
+    assert err <= 1e-12, f"relative kappa error {err:.2e}"

@@ -5,8 +5,9 @@ with 2x2 matrices as nested tuples: ``_mul2`` products, ``_rotation_pair``
 and a gate loop over ``GATE_ENTRIES``.  The flat kernel must return the same
 T bytes, hand ``_factor_gate`` the same arguments and raise the same
 exception class on every block, and the normal forms built on it
-(``standard_form``, ``pair_factor``, ``local_normal_form``) must return the
-same bytes as their nested-tuple forms.
+(``standard_form``, ``local_normal_form``) must return the same bytes as
+their nested-tuple forms.  So must ``pair_factor``, which builds its factor
+forward from the spectra on Python floats.
 """
 
 import math
@@ -180,10 +181,28 @@ def reference_standard_form(V4):
 
 
 def reference_pair_factor(a, b, t_a, t_b):
+    """S_q = X^(1/2) U D^(-1/2) and S_p = P^(1/2) W D^(-1/2) as nested tuples,
+    with the dense products for the gate."""
     s_lo, s_hi = sorted((float(a), float(b)))
     t_lo, t_hi = sorted((float(t_a), float(t_b)))
+    kx, kp, dx, dp = two_mode._couplings(t_lo, t_hi, s_lo, s_hi)
+
+    def root(k, d):
+        t = math.sqrt(t_lo + t_hi + 2.0 * d)
+        return (((t_lo + d) / t, k / t), (k / t, (t_hi + d) / t))
+
+    XH, PH = root(kx, dx), root(kp, dp)
+    K = mul2(XH, PH)
+    psi, _, _, chi = two_mode._svd2(K[0][0], K[0][1], K[1][0], K[1][1])
+    cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
+    rl, rh = math.sqrt(s_lo), math.sqrt(s_hi)
+    S = np.zeros((4, 4))
+    S[0::2, 0::2] = mul2(XH, ((-su / rl, cu / rh), (cu / rl, su / rh)))
+    S[1::2, 1::2] = mul2(PH, ((sw / rl, cw / rh), (cw / rl, -sw / rh)))
+    omega = gm.symplectic_form(2)
     V4 = gm.reconstruct_two_mode(t_lo, t_hi, s_lo, s_hi)
-    S = symplectic.symplectic_inverse(reference_pivot_factor(V4, symplectic._factor_gate))
+    fact = S @ np.diag([s_lo, s_lo, s_hi, s_hi]) @ S.T - V4
+    symplectic._factor_gate(np.abs(fact).max(), np.abs(S @ omega @ S.T - omega).max(), 1.0 + t_hi)
     if a > b:
         S = S @ SWAP
     if t_a > t_b:

@@ -1,7 +1,5 @@
-"""Tests for spectra: symplectic eigenvalues, the normal-form factorization,
-the dominance certificate, and thermal eigenvalue enumeration."""
-
-import itertools
+"""Tests for spectra: symplectic eigenvalues, the normal-form factorization
+and the dominance certificate."""
 
 import numpy as np
 import pytest
@@ -479,78 +477,3 @@ class TestDominatesProperties:
         assert cert.tail_slack == ref.tail_slack
         assert cert.compatible == ref.compatible
 
-
-def brute_force_thermal(params, count, cap):
-    """Direct enumeration oracle over a box of multi-indices.
-
-    ``cap`` must be large enough that every excluded index has value below
-    the count-th kept one; the caller picks it per instance.
-    """
-    p = np.asarray(params, dtype=float)
-    xi = (p - 1.0) / (p + 1.0)
-    base = np.prod(1.0 - xi)
-    vals = []
-    for idx in itertools.product(range(cap + 1), repeat=p.size):
-        vals.append((float(base * np.prod(xi ** np.array(idx))), idx))
-    vals.sort(key=lambda t: (-t[0], t[1]))
-    return vals[:count]
-
-
-class TestThermalEigenvalues:
-    def test_pure_state(self):
-        out = gm.thermal_eigenvalues((1.0,), 4)
-        assert [v for v, _ in out] == [1.0, 0.0, 0.0, 0.0]
-        assert out[0][1] == (0,)
-
-    def test_single_mode_geometric(self):
-        out = gm.thermal_eigenvalues((3.0,), 3)
-        vals = [v for v, _ in out]
-        assert np.allclose(vals, [0.5, 0.25, 0.125], atol=1e-15, rtol=0)
-        assert [idx for _, idx in out] == [(0,), (1,), (2,)]
-
-    def test_two_equal_modes_with_tie_break(self):
-        out = gm.thermal_eigenvalues((3.0, 3.0), 3)
-        vals = [v for v, _ in out]
-        assert np.allclose(vals, [0.25, 0.125, 0.125], atol=1e-15, rtol=0)
-        # equal values are ordered by multi-index
-        assert [idx for _, idx in out] == [(0, 0), (0, 1), (1, 0)]
-
-    def test_against_brute_force(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            params = tuple(rng.uniform(1.2, 4.0, size=n))
-            count = int(rng.integers(1, 25))
-            got = gm.thermal_eigenvalues(params, count)
-            expect = brute_force_thermal(params, count, cap=40)
-            assert len(got) == count
-            for (gv, gi), (ev, ei) in zip(got, expect):
-                assert abs(gv - ev) < 1e-14
-                assert gi == ei
-
-    def test_partial_sums_approach_one(self):
-        params = (2.0, 1.5)
-        prev = 0.0
-        for count in (5, 50, 400):
-            vals = [v for v, _ in gm.thermal_eigenvalues(params, count)]
-            total = float(np.sum(vals))
-            assert prev <= total <= 1.0 + 1e-12
-            prev = total
-        assert prev > 0.999
-
-    def test_descending_order_always(self):
-        vals = [v for v, _ in gm.thermal_eigenvalues((1.7, 2.9, 4.0), 60)]
-        assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            gm.thermal_eigenvalues((0.9,), 3)
-        with pytest.raises(ValueError):
-            gm.thermal_eigenvalues((2.0,), 0)
-        with pytest.raises(ValueError):
-            gm.thermal_eigenvalues((), 3)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite(self, value):
-        with pytest.raises(ValueError, match="positive finite"):
-            gm.thermal_eigenvalues((2.0, value), 3)

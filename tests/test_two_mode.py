@@ -10,8 +10,11 @@ from gmarginal import (
     IncompatibleSpectraError,
     InfeasibleRedistributionError,
     InvalidCovarianceError,
+    NumericalError,
     TwoModeStandardForm,
     solver,
+    symplectic,
+    two_mode,
 )
 from gmarginal.two_mode import _pivot_factor
 
@@ -439,6 +442,42 @@ class TestPairFactor:
             assert np.allclose(
                 gm.symplectic_spectrum(W), [a, b], atol=1e-8 * b, rtol=0
             )
+
+    def test_built_forward_from_its_arguments(self, monkeypatch):
+        """No standard-form matrix is built and factored, and no inverse taken."""
+
+        def forbidden(*args):
+            raise AssertionError("pair_factor went through a matrix normal form")
+
+        names = ("reconstruct_two_mode", "_standard_shape", "_pivot_factor", "symplectic_inverse")
+        for name in names:
+            monkeypatch.setattr(two_mode, name, forbidden, raising=False)
+        monkeypatch.setattr(symplectic, "symplectic_inverse", forbidden)
+        for a, b, ta, tb in ((2.0, 5.0, 4.5, 3.5), (6.0, 1.5, 2.5, 6.0), (1.5, 3.0, 1.5, 3.0)):
+            S = gm.pair_factor(a, b, ta, tb)
+            W = S @ np.diag([a, a, b, b]) @ S.T
+            assert np.abs(np.diag(W) - [ta, ta, tb, tb]).max() <= 1e-14 * max(ta, tb)
+
+    def test_factor_gate(self, monkeypatch):
+        """S D S^T against the standard form and S's symplecticity, relative to 1 + t_hi."""
+        gates = []
+        monkeypatch.setattr(two_mode, "_factor_gate", lambda *args: gates.append(args))
+        # the GEN step of test_03's instance 116
+        a, b = 3.2520822869164228, 1934.8892496697297
+        ta, tb = 1082.621171425905, 1472.0740605118838
+        gm.pair_factor(a, b, ta, tb)
+        ((fact, symp, scale),) = gates
+        assert scale == 1.0 + tb
+        assert fact <= 1e-14 * scale and symp <= 1e-12
+        monkeypatch.undo()
+        monkeypatch.setattr(symplectic, "FACTOR_TOL", -1.0)
+        with pytest.raises(NumericalError):
+            gm.pair_factor(a, b, ta, tb)
+
+    def test_spectra_without_a_state_miss_the_gate(self):
+        """The feasibility slack admits targets that no real state reaches."""
+        with pytest.raises(NumericalError):
+            gm.pair_factor(1e-6, 1e-6, 1.0, 1.0 + 1e-9)
 
     def test_infeasible_targets(self):
         # sum would have to drop
