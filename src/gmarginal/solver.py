@@ -132,17 +132,6 @@ def _pair_ids(i, j, n):
     return np.array((a, a + 1, b, b + 1, a + h, a + h + 1, b + h, b + h + 1))
 
 
-def _gather_pair(WS, i, j):
-    """(ids, rows, block) of modes i and j in the stacked [W; S]: the pair's
-    ``_pair_ids``, its eight rows and W's 4x4 pair block, read by one ``take``.
-
-    ``synthesize`` reads each step's pair with it; ``jacobi_decompose``
-    reads a whole round's pair blocks as one strided view instead."""
-    ids = _pair_ids(i, j, WS.shape[1] // 2)
-    rows = WS.take(ids, axis=0)
-    return ids, rows, rows[:4].take(ids[:4], axis=1)
-
-
 def _apply_pair(WS, T4, ids, rows):
     """In place, W <- T W T^T and S <- T S for T the 4x4 T4 acting on a pair.
 
@@ -152,8 +141,7 @@ def _apply_pair(WS, T4, ids, rows):
     together, one scatter writes them back and one write mirrors W's rows
     into its columns, so the cost is O(n).  The 4x4 pair block is
     symmetrized before it is written, so W stays exactly symmetric.
-    Returns that pair block.  ``synthesize`` applies each step with it;
-    ``jacobi_decompose`` applies a round of pivots as one batched congruence.
+    Returns that pair block.
     """
     half = WS.shape[1]
     cols = ids[:4]
@@ -210,24 +198,27 @@ def jacobi_decompose(V):
     ``_round_robin``): n - 1 rounds of n/2 disjoint pairs, or n rounds of
     (n - 1)/2 for odd n, one mode sitting each round out.  The first round
     is (1, 2), (3, 4), ..., and each pair is oriented j < k, so the kernel
-    gives mode j the smaller kappa.  W = S V S^T and S are kept with their
-    modes in the current round's pair order, so the round's 4x4 pair
-    blocks are a strided diagonal view of W.  The skip test of each pair
-    reads that view; the kernel runs on each pair the test does not skip,
-    in the round's order.  Disjoint pairs do not touch each other's
-    blocks, so the round's factors T_p (the identity for a skipped pair)
-    are then applied together, as one block-diagonal congruence: one
-    batched product T_p [W; S] on the pairs' rows, one T_p (T W)^T on
-    W's columns, and one symmetrization.  The same copy moves W and S
-    into the next round's pair order, by one precomputed permutation, and
-    each pivot reads its two new profit factors as ``_sqrt_det`` of its
-    modes' symmetrized 2x2 blocks.  A round with no pivot only moves them.
-    So a round costs O(n^2) on top of the O(1) scalar work per pivot, and
-    a sweep O(n^3).  A kernel error mid-round first applies and records
-    the round's earlier pivots, then raises.  The first round's order is
-    the mode order, so a run that ends after whole sweeps has W and S in
-    it; the rescan after an exhausted sweep budget reads every pair's
-    off-block from that W.
+    gives mode j the smaller kappa.  W = S V S^T and S are plain arrays
+    whose modes sit in the current round's slot order: its pairs, then the
+    mode sitting out.  Pair p's 4x4 block is then W's diagonal block at
+    rows 4p..4p+3; one ``take`` of precomputed indices reads the round's
+    blocks, the skip test of each pair reads its block there, and the
+    kernel runs on each pair the test does not skip, in the round's order.
+    Disjoint pairs do not touch each other's blocks, so the round's factors
+    T_p (the identity for a skipped pair) are then applied together, as one
+    block-diagonal congruence: one batched product T_p on the pairs' rows
+    of W, the same product on the rows of a copy of (T W)^T, the average of
+    that and its transpose as the new W, and T_p on the pairs' rows of S.
+    The mode sitting out keeps its rows.  Each pivot then reads its two new
+    profit factors as ``_sqrt_det`` of its modes' 2x2 blocks at its own
+    slots.  Every round, with or without a pivot, ends by moving W and S
+    into the next round's slot order by one precomputed permutation.  So a
+    round costs O(n^2) on top of the O(1) scalar work per pivot, and a
+    sweep O(n^3).  A kernel error mid-round first applies and records the
+    round's earlier pivots, then raises.  The first round's order is the
+    mode order, so a run that ends after whole sweeps has W and S in it;
+    the rescan after an exhausted sweep budget reads every pair's off-block
+    from that W.
 
     The skip rule is relative, the symplectic form of the Demmel-Veselic
     stopping rule (SIMAX 13, 1992): pair (j, k) is not pivoted when its
@@ -264,35 +255,26 @@ def jacobi_decompose(V):
     """
     W, locs, m = local_normal_form(V)
     n = m.size
-    h, q, size = n // 2, 4 * (n // 2), 2 * n  # pairs per round, their rows, W's order
-    # G holds W, S and the next round's Y; A holds T W, T S and Y = T (T W)^T.
-    # Each holds its modes in slot order: the round's pairs, then the mode
-    # sitting out
-    G, A = np.zeros((3, size, size)), np.empty((3, size, size))
-    G[0] = W
-    W, S = G[0], G[1]
+    h, q = n // 2, 4 * (n // 2)  # pairs per round and their rows
+    S = np.zeros_like(W)
     S.reshape(n, 2, n, 2)[range(n), :, range(n)] = locs  # as in ``symplectic_form``
     T = np.tile(_EYE4, (h, 1, 1))  # the round's factors, the identity for a skipped pair
-    blocks = W[:q, :q].reshape(h, 4, h, 4).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
-    cross = blocks[:, :2, 2:]
-    rows_in, rows_out = G[:2, :q].reshape(2, h, 4, size), A[:2, :q].reshape(2, h, 4, size)
-    cols_in, cols_out = A[0, :, :q].reshape(size, h, 4).transpose(1, 2, 0), A[2, :q].reshape(h, 4, size)
-    WS_in, WS_out = G[:2].reshape(2 * size, size), A[:2].reshape(2 * size, size)
-    SY_in, SY_out = A[1:].reshape(2 * size, size), G[1:].reshape(2 * size, size)
+    r = 4 * np.arange(h)[:, None] + np.arange(4)  # pair p's rows 4p..4p+3
+    at = r[:, :, None] * (2 * n) + r[:, None]  # where the pairs' 4x4 blocks sit in W.ravel()
 
-    schedule = _round_robin(n)
-    orders = [[t - 1 for pair in pairs for t in pair] for pairs in schedule]
+    def rows(M):
+        # each pair's T_p on its four rows of M, in place; the mode sitting out keeps its rows
+        M[:q] = (T @ M[:q].reshape(h, 4, -1)).reshape(q, -1)
+        return M
+
+    # each round's modes in slot order (its pairs, then the mode sitting out)
+    # and the rows, in that order, of the next round's order
+    orders = [[t - 1 for pair in pairs for t in pair] for pairs in _round_robin(n)]
     orders = [order + sorted(set(range(n)).difference(order)) for order in orders]
     rounds = []
-    for r, pairs in enumerate(schedule):
-        following = orders[(r + 1) % len(orders)]
-        slot = {t: i for i, t in enumerate(orders[r])}
-        # the rows, in this round's order, of the next round's rows
-        ids = np.array([(2 * slot[t], 2 * slot[t] + 1) for t in following], dtype=np.intp).ravel()
-        slot = {t: i for i, t in enumerate(following)}
-        # each pair's modes (from 0) and their slots in the next round's order
-        moves = [(j - 1, k - 1, slot[j - 1], slot[k - 1]) for j, k in pairs]
-        rounds.append((moves, ids, np.concatenate((ids, ids + size))))
+    for order, following in zip(orders, orders[1:] + orders[:1]):
+        slot = {t: i for i, t in enumerate(order)}
+        rounds.append((order, np.array([2 * slot[t] + e for t in following for e in (0, 1)])))
 
     steps = []
     sweep_off_max = []
@@ -303,28 +285,6 @@ def jacobi_decompose(V):
         # the Demmel-Veselic bound of modes j and k (from 0); two square
         # roots keep it in range
         return _JACOBI_EPS * math.sqrt(factors[j]) * math.sqrt(factors[k])
-
-    def finish_round(ids, ids2, pivots):
-        # the round's congruence, and the move into the next round's order
-        if not pivots:
-            np.take(WS_in, ids2, axis=0, out=WS_out)
-            np.take(A[0], ids, axis=1, out=W)
-            S[...] = A[1]
-            return
-        np.matmul(T, rows_in, out=rows_out)
-        A[:2, q:] = G[:2, q:]  # the mode sitting out
-        np.matmul(T, cols_in, out=cols_out)
-        A[2, q:] = A[0, :, q:].T
-        T[...] = _EYE4
-        np.take(SY_in, ids2, axis=0, out=SY_out)
-        np.take(G[2], ids, axis=1, out=A[0])
-        np.multiply(A[0], 0.5, out=A[0])  # halved first: a sum could overflow
-        np.add(A[0], A[0].T, out=W)
-        d, c = W.diagonal().tolist(), W.diagonal(1)[0::2].tolist()
-        for off, (j, k, sj, sk) in pivots:
-            factors[j] = math.ldexp(*_sqrt_det(d[2 * sj], c[sj], d[2 * sj + 1]))
-            factors[k] = math.ldexp(*_sqrt_det(d[2 * sk], c[sk], d[2 * sk + 1]))
-            steps.append(JacobiStep(pair=(j + 1, k + 1), off_norm=off, profit=math.prod(factors)))
 
     def trace():
         return JacobiTrace(steps, sweeps, converged, initial_profit, sweep_off_max)
@@ -338,20 +298,31 @@ def jacobi_decompose(V):
             pivoted = False
             worst = 0.0
             sweep_off_max.append(worst)  # kept current, so an error mid-sweep leaves it right
-            for moves, ids, ids2 in rounds:
+            for order, move in rounds:
                 pivots = []
                 try:
-                    offs = np.abs(cross).max(axis=(1, 2)).tolist()
-                    for p, move in enumerate(moves):
-                        off = offs[p]
+                    blocks = W.take(at)
+                    offs = np.abs(blocks[:, :2, 2:]).max(axis=(1, 2)).tolist()
+                    for p, (off, j, k) in enumerate(zip(offs, order[0::2], order[1::2])):
                         if off > worst:
                             worst = sweep_off_max[-1] = off
-                        if off <= bound(move[0], move[1]):
+                        if off <= bound(j, k):
                             continue
                         T[p] = _pivot_factor(blocks[p])
-                        pivots.append((off, move))
+                        pivots.append((4 * p, off, j, k))
                 finally:
-                    finish_round(ids, ids2, pivots)
+                    if pivots:
+                        # the round's congruence: T_p on the pairs' rows of W, of (T W)^T and of S
+                        half = rows(rows(W).T.copy())
+                        half *= 0.5  # halved first: a sum could overflow
+                        W, S = half + half.T, rows(S)
+                        T[...] = _EYE4
+                        d, c = W.diagonal().tolist(), W.diagonal(1).tolist()
+                        for i, off, j, k in pivots:  # i = 4p, the pair's first row
+                            factors[j] = math.ldexp(*_sqrt_det(d[i], c[i], d[i + 1]))
+                            factors[k] = math.ldexp(*_sqrt_det(d[i + 2], c[i + 2], d[i + 3]))
+                            steps.append(JacobiStep((j + 1, k + 1), off, math.prod(factors)))
+                    W, S = W.take(move, 0).take(move, 1), S.take(move, 0)
                 pivoted = pivoted or bool(pivots)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
@@ -457,7 +428,9 @@ def synthesize(kappa, m):
         )
 
     def apply_step(stage, kind, i, j, param):
-        ids, rows, block = _gather_pair(WS, i, j)
+        ids = _pair_ids(i, j, n)
+        rows = WS.take(ids, axis=0)
+        block = rows[:4].take(ids[:4], axis=1)
         (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
             block.tolist()
         )
@@ -555,7 +528,8 @@ def verify(S, kappa, m) -> VerifyReport:
     measured in their units and held to VERIFY_TOL * (1 + max(kappa_n, m_n)),
     the allowance of ``synthesize``'s final check.  A singular or non-finite
     S fails the check; it is not an error, and a non-finite S reports NaN
-    residuals.  Every entry of kappa and m must be positive and finite.
+    residuals.  kappa and m must be nonempty, and every entry positive and
+    finite.
 
     V is not formed: mode j's block is read from S's row pair (q_j, p_j) as
     the weighted row sums (q_j * q_j) @ d, (p_j * p_j) @ d and (q_j * p_j) @ d
@@ -585,6 +559,8 @@ def verify(S, kappa, m) -> VerifyReport:
     n = kappa.size
     if kappa.ndim != 1 or m.shape != kappa.shape or S.shape != (2 * n, 2 * n):
         raise ValueError("shape mismatch between S and the parameter vectors")
+    if n == 0:
+        raise ValueError("expected two equal-length, nonempty vectors")
     kappa, m = np.sort(_positive_finite(kappa)), np.sort(_positive_finite(m))
     if not np.all(np.isfinite(S)):
         return VerifyReport(math.nan, math.nan, math.nan, tol=VERIFY_TOL, ok=False)

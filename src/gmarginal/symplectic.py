@@ -326,8 +326,8 @@ def _rotation(phi: float) -> np.ndarray:
 def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     """Draw a reproducible random n-mode covariance matrix, physical in exact arithmetic.
 
-    Global parameters are drawn uniformly from ``kappa_range`` (whose lower
-    bound must be at least 1) and scrambled by a product of 4 n^2 random
+    Global parameters are drawn uniformly from ``kappa_range`` (finite, with
+    a lower bound of at least 1) and scrambled by a product of 4 n^2 random
     elementary symplectics: beam splitters with theta in [0, 2 pi), two-mode
     squeezers with mu in [0, 0.5], and local rotations/squeezes.  Each
     generator multiplies only its own two or four rows of S, in place, at
@@ -350,6 +350,8 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("mode count must be a positive integer")
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("kappa_range must be a finite interval")
     if lo < 1.0:
         raise ValueError("the lower end of kappa_range must be at least 1")
     if hi < lo:

@@ -313,8 +313,12 @@ class TestRandomCommand:
             (["--modes", "2", "--kappa-min", "0.5"], "error: the lower end of kappa_range must be at least 1\n"),
             (["--modes", "2", "--kappa-min", "3", "--kappa-max", "2"],
              "error: kappa_range must be a nondecreasing interval\n"),
+            (["--modes", "3", "--kappa-min", "nan"], "error: kappa_range must be a finite interval\n"),
+            (["--modes", "3", "--kappa-max", "inf"], "error: kappa_range must be a finite interval\n"),
+            (["--modes", "3", "--kappa-max", "nan"], "error: kappa_range must be a finite interval\n"),
         ],
-        ids=["modes-0", "kappa-min-0.5", "kappa-max-below-min"],
+        ids=["modes-0", "kappa-min-0.5", "kappa-max-below-min",
+             "kappa-min-nan", "kappa-max-inf", "kappa-max-nan"],
     )
     def test_argument_error_message(self, capsys, argv, err):
         assert main(["random", "--seed", "1", *argv]) == 2

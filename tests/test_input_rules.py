@@ -42,3 +42,9 @@ def test_dominates_checks_shape_before_sorting():
 def test_verify_checks_shape_before_sorting():
     with pytest.raises(ValueError, match="^shape mismatch between S and the parameter vectors$"):
         gm.verify(np.eye(2), 2.0, 2.0)
+
+
+def test_verify_rejects_empty_vectors():
+    """n = 0 passes the shape check; it is rejected in dominates' words, not by a NumPy reduction."""
+    with pytest.raises(ValueError, match="^expected two equal-length, nonempty vectors$"):
+        gm.verify(np.zeros((0, 0)), [], [])

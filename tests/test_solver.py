@@ -355,7 +355,7 @@ class TestJacobiAgainstReference:
         assert float(trace.initial_profit).hex() == float(initial_profit).hex()
         return trace
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 12, 13, 16])
     def test_bloch_messiah_states(self, n):
         rng = np.random.default_rng(900 + n)
         for _ in range(2):

@@ -275,6 +275,16 @@ class TestRandomState:
         with pytest.raises(ValueError):
             gm.random_state(0, seed=1)
 
+    @pytest.mark.parametrize(
+        "kappa_range",
+        [(np.nan, 4.0), (1.0, np.inf), (1.0, np.nan), (np.inf, np.inf)],
+        ids=["min-nan", "max-inf", "max-nan", "both-inf"],
+    )
+    def test_kappa_range_must_be_finite(self, kappa_range):
+        """A non-finite end is a ValueError, not the generator's OverflowError."""
+        with pytest.raises(ValueError, match="^kappa_range must be a finite interval$"):
+            gm.random_state(3, seed=1, kappa_range=kappa_range)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
     def test_replay_of_the_draws_as_dense_generators(self, n):
         # replays random_state's rng calls in their order and multiplies the
