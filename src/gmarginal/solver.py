@@ -370,7 +370,8 @@ def synthesize(kappa, m):
     The schedule decides each step as (stage, kind, i, j, param), and one
     step function applies it.  Each transfer touches only the four rows and
     columns of its pair, so it costs O(n), and the whole schedule of at most
-    n - 1 transfers O(n^2).
+    n - 1 transfers O(n^2).  Its peak memory, S and V included, is at most
+    2.5 arrays of 2n x 2n (``tests/test_working_set.py``, n = 128).
     With s = 1 + max(kappa_n, m_n), finalizing a mode and checking a pair's
     structure allow round-off of DEFAULT_TOL * s, and the final check of the
     diagonal against m allows VERIFY_TOL * s, the allowance ``verify``
@@ -551,7 +552,8 @@ def verify(S, kappa, m) -> VerifyReport:
     2 gamma_(n+2) ||Q||_F ||P||_F, read from the diagonal-block sums at O(n)
     cost.  Where E cancels to about zero (an exact synthesis) this term is
     the whole bound.  The bound scales with kappa, and no factorization
-    runs.
+    runs.  The peak memory is at most 2.5 arrays of 2n x 2n
+    (``tests/test_working_set.py``, n = 128).
     """
     S = np.asarray(S, dtype=float)
     kappa = np.asarray(kappa, dtype=float)

@@ -15,7 +15,8 @@ from .symplectic import (
     _omega_rows,
     _positive_finite,
     _symplectic_residual,
-    validate_covariance,
+    _symmetrized,
+    validate_covariance,  # noqa: F401  (kept as a name of this module, which tests patch)
 )
 
 
@@ -53,6 +54,9 @@ class WilliamsonFactorization:
 def _chol_form(V: np.ndarray):
     """Validate V and return (V, L, L^T Omega L) with V = L L^T Cholesky.
 
+    The V returned is the caller's own array when that is exactly symmetric
+    (``_symmetrized``), so no routine may write to it.
+
     The third matrix A is formed by ``_omega_gram``, so it is exactly
     antisymmetric.  It is similar to Omega V (L^-T A L^T = Omega V), so
     i A is Hermitian with eigenvalues -kappa_n, ..., -kappa_1, kappa_1,
@@ -62,7 +66,7 @@ def _chol_form(V: np.ndarray):
         InvalidCovarianceError: V is not symmetric or not positive definite
             (a singular positive semidefinite V included).
     """
-    V = validate_covariance(V)
+    V = _symmetrized(V)
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
@@ -80,6 +84,10 @@ def symplectic_spectrum(V: np.ndarray) -> np.ndarray:
     non-normal product Omega V.  ``eigh`` is backward stable, so each kappa
     carries an absolute error of a few ulps of kappa_n, plus the Cholesky
     error, which grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
+
+    An exactly symmetric V is read, not copied, and each 2n x 2n buffer is
+    released once dead: the peak memory is at most 4.5 arrays of 2n x 2n,
+    LAPACK's workspace aside (``tests/test_working_set.py``, n = 128).
 
     Raises:
         InvalidCovarianceError: V is not a valid positive definite covariance.
@@ -101,12 +109,19 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
 
     S = L O D^(-1/2) then gives S D S^T = L L^T = V, and it is symplectic
     because O D^(-1/2) Omega D^(-1/2) O^T = -A^-1 = L^-1 Omega L^-T.
+
+    An exactly symmetric V is read, not copied, each 2n x 2n buffer is
+    released once dead, and F F^T - V and S = F D^(-1/2) are formed in
+    place: the peak memory, S included, is at most 5.5 arrays of 2n x 2n,
+    LAPACK's workspace aside (``tests/test_working_set.py``, n = 128).
     """
     V, L, A = _chol_form(V)
     P, G, kappa, label, scale = _normal_basis(A)
+    # each 2n x 2n buffer is released as soon as it is dead, which keeps the peak memory down
+    del A
     n = kappa.size
     N = G @ P.T
-    del G  # each 2n x 2n buffer freed early keeps the peak memory down
+    del G
     N *= 0.5  # halved before the difference, which could overflow near the top of the range
     N -= N.T  # the antisymmetrized N
     # X = Y - Y^T: block (i, j) of Y is J E_ij / 2 (1/(k_i - k_j) + 1/(k_i + k_j))
@@ -121,13 +136,16 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
     Y = _omega_rows(N)
     del N
     Y.reshape(n, 2, 2 * n)[...] *= np.repeat(u, 2, axis=1)[:, None, :]
-    P += (Y.T - Y) @ P  # O <- O (I + X)
+    Y = Y.T - Y  # X
+    P += Y @ P  # O <- O (I + X)
+    del Y
     if np.any(np.diff(kappa) < 0.0):  # tied kappa can come out an ulp out of order
         order = np.argsort(kappa, kind="stable")
         kappa, P = kappa[order], P[(2 * order[:, None] + np.arange(2)).ravel()]
     F = L @ P.T  # S D^(1/2), so S D S^T = F F^T, a symmetric rank-k product
-    S = F * (1.0 / np.sqrt(np.repeat(kappa, 2)))
-    res_fact = float(np.max(np.abs(F @ F.T - V)))
+    del L, P
+    res_fact = float(np.max(np.abs(F @ F.T - V)))  # NumPy subtracts V in the product's buffer
+    S = np.multiply(F, 1.0 / np.sqrt(np.repeat(kappa, 2)), out=F)  # F D^(-1/2), in place
     res_symp = _symplectic_residual(S)
     _factor_gate(res_fact, res_symp, 1.0 + float(np.max(np.abs(V))))
     return WilliamsonFactorization(S, kappa, res_fact, res_symp)
@@ -159,7 +177,9 @@ def _normal_basis(A: np.ndarray):
     """
     scale = 2.0 ** -np.frexp(np.max(np.abs(A)))[1]
     As = A * scale  # exact rescale: no over- or underflow in A^T A
-    w, O = np.linalg.eigh(As.T @ As)  # clusters are found from kappa ratios only
+    As = As.T @ As  # the scaled A^T A; the scaled A is released
+    w, O = np.linalg.eigh(As)  # clusters are found from kappa ratios only
+    del As
     P = O.T  # rows are O's columns, so a cluster's basis vectors are a block of rows
     G = P @ A
     flip = np.copysign(1.0, np.einsum("ij,ij->i", G[0::2], P[1::2]))[:, None]

@@ -40,14 +40,21 @@ _JACOBI_EPS = 1e-12
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _whole(x, lo: int, hi=math.inf) -> bool:
+    """The rule for a mode index or count: an int or NumPy integer, not a bool, in [lo, hi]."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi
+
+
 def mode_slice(j: int) -> slice:
-    """Slice selecting the (q, p) rows/columns of 1-based mode j."""
+    """Slice selecting the (q, p) rows/columns of 1-based mode j, a positive int."""
+    if not _whole(j, 1):
+        raise ValueError("mode index must be a positive integer")
     return slice(2 * (j - 1), 2 * j)
 
 
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form (direct sum of [[0, 1], [-1, 0]])."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _whole(n, 1):
         raise ValueError("mode count must be a positive integer")
     omega = np.zeros((2 * n, 2 * n))
     # [j, :, j] of the (n, 2, n, 2) view is mode j's diagonal 2x2 block
@@ -137,13 +144,21 @@ def symplectic_inverse(S: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(j: int, k: int, n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not _whole(n, 2):
         raise ValueError("a two-mode generator needs at least two modes")
     for idx in (j, k):
-        if not isinstance(idx, (int, np.integer)) or idx < 1 or idx > n:
+        if not _whole(idx, 1, n):
             raise ValueError(f"mode index {idx} out of range 1..{n}")
     if j == k:
         raise ValueError("the two mode indices must differ")
+
+
+def _finite(x, what: str) -> float:
+    """x as a float; ValueError when it is an inf or a NaN."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 def _bs_block(theta: float) -> np.ndarray:
@@ -177,25 +192,40 @@ def beam_splitter_pair(theta: float, j: int, k: int, n: int) -> np.ndarray:
 
     On an uncorrelated diagonal pair diag(a, a, b, b) the congruence
     S V S^T keeps the sum a + b exact and scales the difference by
-    cos(2 theta); theta = pi/2 swaps the two modes.
+    cos(2 theta); theta = pi/2 swaps the two modes.  A non-finite theta
+    raises ValueError.
     """
-    return expand_two_mode(_bs_block(float(theta)), j, k, n)
+    return expand_two_mode(_bs_block(_finite(theta, "beam splitter angle")), j, k, n)
 
 
 def squeezer_pair(mu: float, j: int, k: int, n: int) -> np.ndarray:
     """Two-mode squeezer of parameter mu acting on modes (j, k).
 
     On an uncorrelated diagonal pair diag(a, a, b, b) the congruence keeps
-    the difference a - b exact and scales the sum by cosh(2 mu).
+    the difference a - b exact and scales the sum by cosh(2 mu).  A
+    non-finite mu raises ValueError.
     """
-    return expand_two_mode(_sq_block(float(mu)), j, k, n)
+    return expand_two_mode(_sq_block(_finite(mu, "squeezing parameter")), j, k, n)
 
 
 def validate_covariance(V: np.ndarray) -> np.ndarray:
-    """Validate shape/symmetry of a covariance matrix and return it symmetrized.
+    """Validate shape/symmetry of a covariance matrix and return a symmetrized copy.
 
-    Positive definiteness is not checked here; routines that need it check
-    it where the factorization happens.
+    The result is always a new array, which the caller may overwrite; it is
+    V's values when V is exactly symmetric.  Positive definiteness is not
+    checked here; routines that need it check it where the factorization
+    happens.
+    """
+    V = np.asarray(V, dtype=float)
+    out = _symmetrized(V)
+    return V.copy() if out is V else out
+
+
+def _symmetrized(V: np.ndarray) -> np.ndarray:
+    """``validate_covariance``'s checks and values, but V itself when it is exactly symmetric.
+
+    For a caller that only reads the result, so an exactly symmetric V is
+    not copied.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
@@ -210,7 +240,7 @@ def validate_covariance(V: np.ndarray) -> np.ndarray:
     if asym > DEFAULT_TOL * (1.0 + big):
         raise InvalidCovarianceError("covariance matrix is not symmetric")
     # the same values as 0.5 (V + V^T), but a sum of two finite entries can overflow
-    return V.copy() if asym == 0.0 else 0.5 * V + 0.5 * V.T
+    return V if asym == 0.0 else 0.5 * V + 0.5 * V.T
 
 
 def local_parameters(V: np.ndarray) -> np.ndarray:
@@ -305,6 +335,9 @@ def local_normal_form(V: np.ndarray):
         sum L of those blocks, every diagonal block of V2 equals m_j * I,
         and ``m`` holds the local parameters, bit for bit those of
         ``local_parameters``.
+
+    The peak memory, V2 included, is at most 3.5 arrays of 2n x 2n
+    (``tests/test_working_set.py``, n = 128).
     """
     V = validate_covariance(V)
     n = V.shape[0] // 2
@@ -312,10 +345,14 @@ def local_normal_form(V: np.ndarray):
     inv_roots = np.array([r for _, r, _ in roots])  # (r00, r01, r11) per mode
     m = np.array([d for _, _, d in roots])
     L = inv_roots[:, [0, 1, 1, 2]].reshape(n, 2, 2) * np.sqrt(m)[:, None, None]
-    rows = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
-    V2 = (L @ rows.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T
-    # halved before the sum, which could overflow near the top of the double range
-    return 0.5 * V2 + 0.5 * V2.T, list(L), m
+    # each product replaces the one before it, so at most two 2n x 2n arrays are alive
+    V = (L @ V.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L V
+    V = (L @ V.T.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)  # L (L V)^T = L V L^T
+    # halved before the sum, which could overflow near the top of the double range;
+    # NumPy reads the overlapping V.T from a copy, so this is 0.5 V + 0.5 V^T
+    V *= 0.5
+    V += V.T
+    return V, list(L), m
 
 
 def _rotation(phi: float) -> np.ndarray:
@@ -347,7 +384,7 @@ def random_state(n: int, seed: int, kappa_range=(1.0, 4.0)):
         (V, S_used, kappa_used) with V = S_used D S_used^T, where D is the
         diagonal matrix built from kappa_used.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _whole(n, 1):
         raise ValueError("mode count must be a positive integer")
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -407,6 +407,16 @@ def test_jacobi_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_jacobi_runs_no_spectral_kernel(monkeypatch):
+    """The kernel validates V by itself, which ``test_jacobi_validates_once`` does not count."""
+
+    def forbidden(V):
+        raise AssertionError("jacobi_decompose ran the spectral kernel")
+
+    monkeypatch.setattr(spectra, "_chol_form", forbidden)
+    gm.jacobi_decompose(gm.random_state(3, seed=1)[0])
+
+
 class TestJacobiTrace:
     def test_sweep_off_max(self, monkeypatch):
         for seed in range(4):

@@ -145,6 +145,43 @@ class TestGenerators:
             gm.beam_splitter_pair(0.3, 1, 2, 1)
 
 
+class TestModeIndices:
+    """A mode index or count is an in-range int or NumPy integer, never a bool or a float."""
+
+    @pytest.mark.parametrize("j", [0, -1, 1.5, 2.0, True, False, np.bool_(True)])
+    def test_mode_slice_rejects(self, j):
+        with pytest.raises(ValueError, match="^mode index must be a positive integer$"):
+            gm.mode_slice(j)
+
+    def test_mode_slice_takes_numpy_integers(self):
+        assert gm.mode_slice(np.int64(2)) == slice(2, 4)
+
+    @pytest.mark.parametrize("n", [True, 0, 2.0])
+    def test_counts_reject(self, n):
+        with pytest.raises(ValueError, match="^mode count must be a positive integer$"):
+            gm.symplectic_form(n)
+        with pytest.raises(ValueError, match="^mode count must be a positive integer$"):
+            gm.random_state(n, 1)
+
+    def test_pair_rejects_bool_indices_and_counts(self):
+        with pytest.raises(ValueError, match="^mode index True out of range 1..2$"):
+            gm.beam_splitter_pair(0.3, True, 2, 2)
+        with pytest.raises(ValueError, match="^mode index False out of range 1..3$"):
+            gm.squeezer_pair(0.3, 1, False, 3)
+        with pytest.raises(ValueError, match="^a two-mode generator needs at least two modes$"):
+            gm.expand_two_mode(np.eye(4), 1, 2, True)
+        S = gm.beam_splitter_pair(0.3, np.int64(1), np.int32(2), np.int64(2))
+        assert np.array_equal(S, gm.beam_splitter_pair(0.3, 1, 2, 2))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_generators_reject_non_finite_parameters(self, x):
+        # rejected before the block is built: no NaN matrix, no overflow warning
+        with pytest.raises(ValueError, match="^beam splitter angle must be finite$"):
+            gm.beam_splitter_pair(x, 1, 2, 2)
+        with pytest.raises(ValueError, match="^squeezing parameter must be finite$"):
+            gm.squeezer_pair(x, 1, 2, 2)
+
+
 class TestValidateCovariance:
     def test_symmetrizes(self):
         V = np.diag([2.0, 2.0]) + 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
