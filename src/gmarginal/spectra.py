@@ -16,7 +16,6 @@ from .symplectic import (
     _positive_finite,
     _symplectic_residual,
     _symmetrized,
-    validate_covariance,  # noqa: F401  (kept as a name of this module, which tests patch)
 )
 
 
@@ -86,8 +85,9 @@ def symplectic_spectrum(V: np.ndarray) -> np.ndarray:
     error, which grows with cond(V) (Idel, Soto Gaona and Wolf, LAA 2017).
 
     An exactly symmetric V is read, not copied, and each 2n x 2n buffer is
-    released once dead: the peak memory is at most 4.5 arrays of 2n x 2n,
-    LAPACK's workspace aside (``tests/test_working_set.py``, n = 128).
+    released once dead: the peak memory is at most 4.0 arrays of 2n x 2n on
+    every spectrum, tied or not, LAPACK's workspace aside
+    (``tests/test_working_set.py``, n = 128).
 
     Raises:
         InvalidCovarianceError: V is not a valid positive definite covariance.
@@ -112,8 +112,9 @@ def williamson(V: np.ndarray) -> WilliamsonFactorization:
 
     An exactly symmetric V is read, not copied, each 2n x 2n buffer is
     released once dead, and F F^T - V and S = F D^(-1/2) are formed in
-    place: the peak memory, S included, is at most 5.5 arrays of 2n x 2n,
-    LAPACK's workspace aside (``tests/test_working_set.py``, n = 128).
+    place: the peak memory, S included, is at most 5.0 arrays of 2n x 2n on
+    every spectrum, tied or not, LAPACK's workspace aside
+    (``tests/test_working_set.py``, n = 128).
     """
     V, L, A = _chol_form(V)
     P, G, kappa, label, scale = _normal_basis(A)
@@ -165,8 +166,12 @@ def _normal_basis(A: np.ndarray):
        coupling G[2j] . P[2j+1] is negative.  Each cluster of p >= 2 gets an
        exact normal form: the rows (sqrt(2) Im u, sqrt(2) Re u) of each
        eigenvector u of i B, B its 2p x 2p block of N, with eigenvalue
-       kappa > 0 span a block [[0, kappa], [-kappa, 0]] (one stacked ``eigh``
-       per cluster size).
+       kappa > 0 span a block [[0, kappa], [-kappa, 0]].  ``eigh`` sorts its
+       eigenvalues, so a cluster is a run of consecutive pairs, rows lo:hi
+       of P and G: one ``eigh`` per cluster, and products on those rows
+       only.  The rows of P are copied first, since P is column-major and a
+       strided operand rounds differently, which would give another U(p)
+       frame of the cluster.
     3. kappa_j, in the order of the pairs, is the antisymmetrized entry
        (N[2j, 2j+1] - N[2j+1, 2j]) / 2 read by row dot products from G and P,
        which costs O(n^2) and does not form N.  Squared eigenvalues would
@@ -188,17 +193,18 @@ def _normal_basis(A: np.ndarray):
     k_est = np.sqrt(np.abs(w[1::2]))
     gap = np.diff(k_est) > FACTOR_TOL * k_est[-1]
     label = np.concatenate(([0], np.cumsum(gap)))
-    sizes = np.bincount(label)
-    starts = np.cumsum(sizes) - sizes
-    for p in set(sizes.tolist()) - {1}:
-        idx = 2 * starts[sizes == p][:, None] + np.arange(2 * p)
-        Pc, Gc = P[idx], G[idx]
-        B = Gc @ Pc.transpose(0, 2, 1)
-        U = np.linalg.eigh(0.5j * (B - B.transpose(0, 2, 1)))[1][:, :, p:]
-        # Q^T: rows (sqrt(2) Im u, sqrt(2) Re u) for the columns u of U
-        Qt = np.sqrt(2.0) * np.stack((U.imag, U.real), -1).transpose(0, 2, 3, 1).reshape(B.shape)
-        P[idx] = Qt @ Pc
-        G[idx] = Qt @ Gc
+    ends = 2 * np.cumsum(np.bincount(label))
+    for lo, hi in zip([0] + ends[:-1].tolist(), ends.tolist()):
+        if hi - lo > 2:  # a cluster of p >= 2 pairs, on its own 2p rows
+            # a copy: P = O^T is column-major, and a strided operand rounds differently
+            Pc = P[lo:hi].copy()
+            B = G[lo:hi] @ Pc.T
+            U = np.linalg.eigh(0.5j * (B - B.T))[1][:, (hi - lo) // 2 :]
+            # Q^T: rows (sqrt(2) Im u, sqrt(2) Re u) for the columns u of U
+            Qt = np.empty_like(B)
+            Qt[0::2], Qt[1::2] = np.sqrt(2.0) * U.imag.T, np.sqrt(2.0) * U.real.T
+            P[lo:hi] = Qt @ Pc
+            G[lo:hi] = Qt @ G[lo:hi]
     # halved before the difference, which could overflow near the top of the double range
     kappa = 0.5 * np.einsum("ij,ij->i", G[0::2], P[1::2]) - 0.5 * np.einsum("ij,ij->i", G[1::2], P[0::2])
     if not np.min(kappa) > 0.0:

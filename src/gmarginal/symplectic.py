@@ -212,9 +212,10 @@ def validate_covariance(V: np.ndarray) -> np.ndarray:
     """Validate shape/symmetry of a covariance matrix and return a symmetrized copy.
 
     The result is always a new array, which the caller may overwrite; it is
-    V's values when V is exactly symmetric.  Positive definiteness is not
-    checked here; routines that need it check it where the factorization
-    happens.
+    V's values when V is exactly symmetric.  The package's own routines only
+    read V and validate through ``_symmetrized``, which does not copy an
+    exactly symmetric V.  Positive definiteness is not checked here;
+    routines that need it check it where the factorization happens.
     """
     V = np.asarray(V, dtype=float)
     out = _symmetrized(V)
@@ -254,7 +255,7 @@ def local_parameters(V: np.ndarray) -> np.ndarray:
         InvalidCovarianceError: V is not a valid covariance matrix, or a
             single-mode block is not positive definite.
     """
-    return np.array([d for _, _, d in _block_roots(validate_covariance(V))])
+    return np.array([d for _, _, d in _block_roots(_symmetrized(V))])
 
 
 def _block_roots(V: np.ndarray) -> list:
@@ -339,7 +340,7 @@ def local_normal_form(V: np.ndarray):
     The peak memory, V2 included, is at most 3.5 arrays of 2n x 2n
     (``tests/test_working_set.py``, n = 128).
     """
-    V = validate_covariance(V)
+    V = _symmetrized(V)
     n = V.shape[0] // 2
     roots = _block_roots(V)
     inv_roots = np.array([r for _, r, _ in roots])  # (r00, r01, r11) per mode

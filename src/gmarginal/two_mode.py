@@ -32,7 +32,7 @@ from .symplectic import (
     _positive_finite,
     _spd_roots,
     _sqrt_det,
-    validate_covariance,
+    _symmetrized,
 )
 
 
@@ -64,7 +64,7 @@ def two_mode_invariants(V4):
     Raises:
         InvalidCovarianceError: a single-mode block is not positive definite.
     """
-    ma, mb, kx, kp, _, _ = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
+    ma, mb, kx, kp, _, _ = _standard_shape(_symmetrized(_require_4x4(V4)).tolist())
     g = ma * mb
     return ma * ma + mb * mb + 2.0 * kx * kp, (g - kx * kx) * (g - kp * kp)
 
@@ -136,7 +136,7 @@ def standard_form(V4):
     Raises:
         InvalidCovarianceError: V4 is not positive definite.
     """
-    ma, mb, kx, kp, G1, G2 = _standard_shape(validate_covariance(_require_4x4(V4)).tolist())
+    ma, mb, kx, kp, G1, G2 = _standard_shape(_symmetrized(_require_4x4(V4)).tolist())
     # the standard shape is X (+) P on the q and p quadratures, and
     # k_x >= |k_p|, so X positive definite implies P positive definite
     _sqrt_det(ma, kx, mb)

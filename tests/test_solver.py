@@ -389,16 +389,20 @@ class TestJacobiAgainstReference:
 
 
 def test_jacobi_validates_once(monkeypatch):
-    """Once per jacobi_decompose, inside ``local_normal_form``; never in a spectral pre-check."""
+    """Once per jacobi_decompose, inside ``local_normal_form``; never in a spectral pre-check.
+
+    The package validates through ``symplectic._symmetrized``, so every module
+    that binds that name counts its calls.
+    """
     calls = []
-    real = validate_covariance
+    real = symplectic._symmetrized
 
     def counted(V, *args, **kwargs):
         calls.append(1)
         return real(V, *args, **kwargs)
 
-    for module in (spectra, symplectic):
-        monkeypatch.setattr(module, "validate_covariance", counted)
+    for module in (spectra, symplectic, two_mode):
+        monkeypatch.setattr(module, "_symmetrized", counted)
     V = gm.random_state(3, seed=1)[0]
     gm.local_normal_form(V)
     assert len(calls) == 1
@@ -408,7 +412,7 @@ def test_jacobi_validates_once(monkeypatch):
 
 
 def test_jacobi_runs_no_spectral_kernel(monkeypatch):
-    """The kernel validates V by itself, which ``test_jacobi_validates_once`` does not count."""
+    """No Cholesky factorization or spectral ``eigh`` runs: the vacuum rule reads the kappa it returns."""
 
     def forbidden(V):
         raise AssertionError("jacobi_decompose ran the spectral kernel")

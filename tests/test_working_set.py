@@ -5,11 +5,15 @@ its peak memory is pinned here, counted in 2n x 2n float64 arrays at
 n = 128 by tracemalloc.  The count includes the routine's outputs
 and every NumPy array it allocates, but not LAPACK's internal workspace
 (about three more arrays for a 2n x 2n ``eigh``), which NumPy allocates
-outside tracemalloc's view.  The spectral kernel reads an exactly symmetric
-V without copying it, so the last test makes V read-only and checks that
-no routine writes to it.
+outside tracemalloc's view.  The spectral kernel's bounds hold on every
+spectrum: they are pinned on clusters of tied kappa of unequal sizes, on
+many clusters of one size, and on untied kappa, since the cluster pass
+works on one cluster's rows at a time.  The spectral kernel reads an
+exactly symmetric V without copying it, so the last test makes V read-only
+and checks that no routine writes to it.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,15 +23,23 @@ import gmarginal as gm
 from gmarginal.symplectic import DEFAULT_TOL
 
 N = 128
-#: Eight levels of tied kappa in clusters of unequal size, as on the
-#: benchmark's tied-kappa face, so the cluster path of the kernel runs too.
-KAPPA = np.repeat([1.0, 1.5, 2.25, 3.0, 3.5, 4.0, 5.0, 6.0], [10, 12, 14, 16, 18, 20, 17, 21])
+#: Global spectra of the syntheses measured here, each with m = kappa + 0.5.
+SPECTRA = {
+    # eight levels of tied kappa in clusters of unequal size, as on the
+    # benchmark's tied-kappa face
+    "eight levels": np.repeat([1.0, 1.5, 2.25, 3.0, 3.5, 4.0, 5.0, 6.0], [10, 12, 14, 16, 18, 20, 17, 21]),
+    # 64 clusters of two: kappa = 1, 1.05, ..., 4.15, each twice
+    "tied pairs": np.repeat(1.0 + 0.05 * np.arange(N // 2), 2),
+    "untied": np.linspace(1.0, 4.0, N),
+}
+KAPPA = SPECTRA["eight levels"]
 M = KAPPA + 0.5
 
 
-@pytest.fixture(scope="module")
-def synthesis():
-    S, V, _ = gm.synthesize(KAPPA, M)
+@functools.cache
+def synthesis(spectrum):
+    kappa = SPECTRA[spectrum]
+    S, V, _ = gm.synthesize(kappa, kappa + 0.5)
     assert np.array_equal(V, V.T)  # the kernel's uncopied path
     return S, V
 
@@ -46,18 +58,22 @@ def peak_arrays(f, *args):
     return peak / ((2 * N) ** 2 * 8)
 
 
+@pytest.mark.parametrize("spectrum", list(SPECTRA))
+@pytest.mark.parametrize("name, bound", [("williamson", 5.0), ("symplectic_spectrum", 4.0)])
+def test_spectral_peak_on_every_spectrum(name, bound, spectrum):
+    assert peak_arrays(getattr(gm, name), synthesis(spectrum)[1]) <= bound
+
+
 @pytest.mark.parametrize(
     "name, bound",
     [
-        ("williamson", 5.5),
-        ("symplectic_spectrum", 4.5),
         ("local_normal_form", 3.5),
         ("verify", 2.5),
         ("synthesize", 2.5),
     ],
 )
-def test_peak_working_set(synthesis, name, bound):
-    S, V = synthesis
+def test_peak_working_set(name, bound):
+    S, V = synthesis("eight levels")
     args = {"verify": (S, KAPPA, M), "synthesize": (KAPPA, M)}.get(name, (V,))
     assert peak_arrays(getattr(gm, name), *args) <= bound
 
