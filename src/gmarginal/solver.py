@@ -198,27 +198,25 @@ def jacobi_decompose(V):
     ``_round_robin``): n - 1 rounds of n/2 disjoint pairs, or n rounds of
     (n - 1)/2 for odd n, one mode sitting each round out.  The first round
     is (1, 2), (3, 4), ..., and each pair is oriented j < k, so the kernel
-    gives mode j the smaller kappa.  W = S V S^T and S are plain arrays
-    whose modes sit in the current round's slot order: its pairs, then the
-    mode sitting out.  Pair p's 4x4 block is then W's diagonal block at
-    rows 4p..4p+3; one ``take`` of precomputed indices reads the round's
+    gives mode j the smaller kappa.  W = S V S^T and S are plain arrays in
+    mode order for the whole run.  Each round's pairs, their rows
+    2j, 2j+1, 2k, 2k+1 and the flat indices of their 4x4 blocks in W are
+    computed once per run; one ``take`` of those indices reads the round's
     blocks, the skip test of each pair reads its block there, and the
     kernel runs on each pair the test does not skip, in the round's order.
     Disjoint pairs do not touch each other's blocks, so the round's factors
     T_p (the identity for a skipped pair) are then applied together, as one
     block-diagonal congruence: one batched product T_p on the pairs' rows
-    of W, the same product on the rows of a copy of (T W)^T, the average of
-    that and its transpose as the new W, and T_p on the pairs' rows of S.
-    The mode sitting out keeps its rows.  Each pivot then reads its two new
-    profit factors as ``_sqrt_det`` of its modes' 2x2 blocks at its own
-    slots.  Every round, with or without a pivot, ends by moving W and S
-    into the next round's slot order by one precomputed permutation.  So a
-    round costs O(n^2) on top of the O(1) scalar work per pivot, and a
-    sweep O(n^3).  A kernel error mid-round first applies and records the
-    round's earlier pivots, then raises.  The first round's order is the
-    mode order, so a run that ends after whole sweeps has W and S in it;
-    the rescan after an exhausted sweep budget reads every pair's off-block
-    from that W.
+    of W, gathered by ``take`` and written back by row index, the same
+    product on the rows of a copy of (T W)^T, the average of that and its
+    transpose as the new W, and T_p on the pairs' rows of S.  The mode
+    sitting out keeps its rows.  Each pivot then reads its two new profit
+    factors as ``_sqrt_det`` of its modes' 2x2 blocks at rows 2j and 2k.
+    So a round costs O(n^2) on top of the O(1) scalar work per pivot, and
+    a sweep O(n^3).  A kernel error mid-round first applies and records the
+    round's earlier pivots, then raises.  The rescan after an exhausted
+    sweep budget reads every pair's off-block round by round, through the
+    same indices.
 
     The skip rule is relative, the symplectic form of the Demmel-Veselic
     stopping rule (SIMAX 13, 1992): pair (j, k) is not pivoted when its
@@ -255,26 +253,28 @@ def jacobi_decompose(V):
     """
     W, locs, m = local_normal_form(V)
     n = m.size
-    h, q = n // 2, 4 * (n // 2)  # pairs per round and their rows
+    h = n // 2  # pairs per round
     S = np.zeros_like(W)
     S.reshape(n, 2, n, 2)[range(n), :, range(n)] = locs  # as in ``symplectic_form``
     T = np.tile(_EYE4, (h, 1, 1))  # the round's factors, the identity for a skipped pair
-    r = 4 * np.arange(h)[:, None] + np.arange(4)  # pair p's rows 4p..4p+3
-    at = r[:, :, None] * (2 * n) + r[:, None]  # where the pairs' 4x4 blocks sit in W.ravel()
 
-    def rows(M):
+    # each round's pairs (from 0), their rows 2j, 2j+1, 2k, 2k+1 and the flat
+    # indices of their 4x4 blocks in W.ravel()
+    rounds = []
+    for pairs in _round_robin(n):
+        pairs = [(j - 1, k - 1) for j, k in pairs]
+        idx = np.array([2 * t + e for pair in pairs for t in pair for e in (0, 1)], dtype=int)
+        rounds.append((pairs, idx, idx.reshape(h, 4, 1) * (2 * n) + idx.reshape(h, 1, 4)))
+
+    def rows(M, idx):
         # each pair's T_p on its four rows of M, in place; the mode sitting out keeps its rows
-        M[:q] = (T @ M[:q].reshape(h, 4, -1)).reshape(q, -1)
+        M[idx] = (T @ M.take(idx, 0).reshape(h, 4, -1)).reshape(4 * h, -1)
         return M
 
-    # each round's modes in slot order (its pairs, then the mode sitting out)
-    # and the rows, in that order, of the next round's order
-    orders = [[t - 1 for pair in pairs for t in pair] for pairs in _round_robin(n)]
-    orders = [order + sorted(set(range(n)).difference(order)) for order in orders]
-    rounds = []
-    for order, following in zip(orders, orders[1:] + orders[:1]):
-        slot = {t: i for i, t in enumerate(order)}
-        rounds.append((order, np.array([2 * slot[t] + e for t in following for e in (0, 1)])))
+    def off_blocks(at):
+        # the pairs' 4x4 blocks of W and the max-norms of their off-blocks
+        blocks = W.take(at)
+        return blocks, np.abs(blocks[:, :2, 2:]).max(axis=(1, 2)).tolist()
 
     steps = []
     sweep_off_max = []
@@ -298,41 +298,38 @@ def jacobi_decompose(V):
             pivoted = False
             worst = 0.0
             sweep_off_max.append(worst)  # kept current, so an error mid-sweep leaves it right
-            for order, move in rounds:
+            for pairs, idx, at in rounds:
                 pivots = []
                 try:
-                    blocks = W.take(at)
-                    offs = np.abs(blocks[:, :2, 2:]).max(axis=(1, 2)).tolist()
-                    for p, (off, j, k) in enumerate(zip(offs, order[0::2], order[1::2])):
+                    blocks, offs = off_blocks(at)
+                    for p, (off, (j, k)) in enumerate(zip(offs, pairs)):
                         if off > worst:
                             worst = sweep_off_max[-1] = off
                         if off <= bound(j, k):
                             continue
                         T[p] = _pivot_factor(blocks[p])
-                        pivots.append((4 * p, off, j, k))
+                        pivots.append((off, j, k))
                 finally:
                     if pivots:
                         # the round's congruence: T_p on the pairs' rows of W, of (T W)^T and of S
-                        half = rows(rows(W).T.copy())
+                        half = rows(rows(W, idx).T.copy(), idx)
                         half *= 0.5  # halved first: a sum could overflow
-                        W, S = half + half.T, rows(S)
+                        W, S = half + half.T, rows(S, idx)
                         T[...] = _EYE4
                         d, c = W.diagonal().tolist(), W.diagonal(1).tolist()
-                        for i, off, j, k in pivots:  # i = 4p, the pair's first row
-                            factors[j] = math.ldexp(*_sqrt_det(d[i], c[i], d[i + 1]))
-                            factors[k] = math.ldexp(*_sqrt_det(d[i + 2], c[i + 2], d[i + 3]))
+                        for off, j, k in pivots:
+                            factors[j] = math.ldexp(*_sqrt_det(d[2 * j], c[2 * j], d[2 * j + 1]))
+                            factors[k] = math.ldexp(*_sqrt_det(d[2 * k], c[2 * k], d[2 * k + 1]))
                             steps.append(JacobiStep((j + 1, k + 1), off, math.prod(factors)))
-                    W, S = W.take(move, 0).take(move, 1), S.take(move, 0)
                 pivoted = pivoted or bool(pivots)
         # a sweep without a pivot has just checked every pair; rescan only
         # when the sweep budget stopped the loop
         if pivoted:
-            offs = np.abs(W).reshape(n, 2, n, 2).max(axis=(1, 3)).tolist()
             left = [
-                (offs[j][k] / bound(j, k), j + 1, k + 1, offs[j][k])
-                for j in range(n)
-                for k in range(j + 1, n)
-                if offs[j][k] > bound(j, k)
+                (off / bound(j, k), j + 1, k + 1, off)
+                for pairs, _, at in rounds
+                for off, (j, k) in zip(off_blocks(at)[1], pairs)
+                if off > bound(j, k)
             ]
             if left:
                 ratio, j, k, off = max(left)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,17 @@ def check_physical(V: np.ndarray) -> bool:
     return _above_vacuum(kappa[0])
 
 
+def _sum_shift(kappa, m) -> int:
+    """The least s >= 0 with n max(kappa, m) 2^-s < 2^1023, for sorted kappa and m of size n.
+
+    No sum or difference of sums of the entries times 2^-s overflows.  A
+    power of two scales exactly (unless an entry falls below the normal
+    range), and s = 0 unless an entry passes 2^(1023 - bit length of n), so
+    below about 1e305 the slacks keep every bit.
+    """
+    return max(0, math.frexp(max(kappa[-1], m[-1]))[1] + m.size.bit_length() - 1023)
+
+
 def dominates(kappa, m) -> DominanceCertificate:
     """Test whether local parameters m are reachable from global parameters kappa.
 
@@ -248,8 +260,14 @@ def dominates(kappa, m) -> DominanceCertificate:
         raise ValueError("expected two equal-length, nonempty vectors")
     kappa = np.sort(_positive_finite(kappa))
     m = np.sort(_positive_finite(m))
-    partial = np.cumsum(m) - np.cumsum(kappa)
-    tail = float((kappa[-1] - kappa[:-1].sum()) - (m[-1] - m[:-1].sum()))
+    # the sums run on the entries times 2^-s (``_sum_shift``), so none overflows
+    s = _sum_shift(kappa, m)
+    ks, ms = (kappa * 2.0**-s, m * 2.0**-s) if s else (kappa, m)
+    partial = np.cumsum(ms) - np.cumsum(ks)
+    tail = float((ks[-1] - ks[:-1].sum()) - (ms[-1] - ms[:-1].sum()))
+    if s:  # scaled back: a slack past the largest double reads +-inf
+        with np.errstate(over="ignore"):
+            partial, tail = partial * 2.0**s, tail * 2.0**s
     compatible = bool(np.all(partial >= 0.0) and tail >= 0.0)
     return DominanceCertificate(
         kappa_sorted=kappa,
@@ -267,5 +285,7 @@ def _within_slack(cert: DominanceCertificate):
     uncoupled matrix, where every slack is zero.
     """
     worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
-    return worst, bool(worst >= -COUPLING_TOL * (1.0 + float(np.sum(np.abs(cert.m_sorted)))))
+    s = _sum_shift(cert.kappa_sorted, cert.m_sorted)  # keeps sum |m| in range, as in ``dominates``
+    total = 2.0**-s + float(np.sum(np.abs(cert.m_sorted * 2.0**-s if s else cert.m_sorted)))
+    return worst, bool(worst >= -math.ldexp(COUPLING_TOL * total, s))
 

@@ -263,6 +263,22 @@ def test_round_robin_schedule(n):
     assert rounds[0] == [(j, j + 1) for j in range(1, n, 2)]
 
 
+def off_max(W, j, k):
+    """The max-norm of W's off-block of modes j and k (from 1)."""
+    return float(abs(W[mode_slice(j), mode_slice(k)]).max())
+
+
+def local_factor(W, i):
+    """sqrt(det) of W's 2x2 block of mode i (from 1): its profit factor."""
+    B = W[mode_slice(i), mode_slice(i)]
+    return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
+
+
+def skip_bound(factors, j, k):
+    """The skip rule's bound for modes j and k (from 1) with profit factors ``factors``."""
+    return _JACOBI_EPS * math.sqrt(factors[j - 1]) * math.sqrt(factors[k - 1])
+
+
 def reference_jacobi(V, max_sweeps=solver._MAX_SWEEPS):
     """The round-robin Jacobi loop in its plain form, as the reference for the batched one.
 
@@ -274,19 +290,11 @@ def reference_jacobi(V, max_sweeps=solver._MAX_SWEEPS):
     W and of S, then T to the pair's columns of T W, read as rows of its
     transpose, and W becomes the average of that product and its
     transpose.  The profit factors are recomputed from W.  Returns
-    (S, kappa, steps, sweeps, converged, initial_profit).
+    (S, kappa, steps, sweeps, converged, initial_profit, W).
     """
 
-    def off_max(W, j, k):
-        return float(abs(W[mode_slice(j), mode_slice(k)]).max())
-
     def breaks_rule(W, factors, j, k):
-        bound = _JACOBI_EPS * math.sqrt(factors[j - 1]) * math.sqrt(factors[k - 1])
-        return off_max(W, j, k) > bound
-
-    def local_factor(W, i):
-        B = W[mode_slice(i), mode_slice(i)]
-        return float(np.sqrt(max(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0], 0.0)))
+        return off_max(W, j, k) > skip_bound(factors, j, k)
 
     V = validate_covariance(V)
     if not gm.check_physical(V):
@@ -333,7 +341,7 @@ def reference_jacobi(V, max_sweeps=solver._MAX_SWEEPS):
         breaks_rule(W, factors, j, k) for j in range(1, n) for k in range(j + 1, n + 1)
     )
     kappa = np.sort([0.5 * (W[2 * t, 2 * t] + W[2 * t + 1, 2 * t + 1]) for t in range(n)])
-    return S, kappa, steps, sweeps, converged, initial_profit
+    return S, kappa, steps, sweeps, converged, initial_profit, W
 
 
 def step_bits(steps):
@@ -346,7 +354,7 @@ class TestJacobiAgainstReference:
 
     def assert_bitwise(self, V):
         S, kappa, trace = gm.jacobi_decompose(V)
-        S_ref, kappa_ref, steps, sweeps, converged, initial_profit = reference_jacobi(V)
+        S_ref, kappa_ref, steps, sweeps, converged, initial_profit, _ = reference_jacobi(V)
         assert S.tobytes() == S_ref.tobytes()
         assert kappa.tobytes() == kappa_ref.tobytes()
         assert step_bits(trace.steps) == step_bits(steps)
@@ -372,7 +380,7 @@ class TestJacobiAgainstReference:
         at that budget as its trace and no linear-algebra call."""
         V = gm.random_state(6, seed=17)[0]
         for budget in (0, 1, 2):
-            _, _, steps, sweeps, converged, initial_profit = reference_jacobi(V, max_sweeps=budget)
+            _, _, steps, sweeps, converged, initial_profit, _ = reference_jacobi(V, max_sweeps=budget)
             assert not converged
             calls = count_linalg_calls(monkeypatch)
             monkeypatch.setattr(solver, "_MAX_SWEEPS", budget)
@@ -386,6 +394,28 @@ class TestJacobiAgainstReference:
             assert (trace.sweeps, trace.converged) == (sweeps, False)
             assert float(trace.initial_profit).hex() == float(initial_profit).hex()
             assert len(trace.sweep_off_max) == budget
+
+    @pytest.mark.parametrize("n, seed, budget", [(5, 4, 2), (6, 22, 1)])
+    def test_sweep_budget_names_the_worst_pair(self, monkeypatch, n, seed, budget):
+        """An exhausted budget names the pair whose off-block is largest
+        against its bound over the W that the reference leaves after that
+        budget, and that off-block.  On both states another pair has the
+        largest off-block, so the ratio, not the off-block, picks the pair."""
+        V = gm.random_state(n, seed=seed)[0]
+        *_, converged, _, W = reference_jacobi(V, max_sweeps=budget)
+        assert not converged
+        factors = [local_factor(W, t) for t in range(1, n + 1)]
+        pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
+        ratios = sorted((off_max(W, j, k) / skip_bound(factors, j, k), j, k) for j, k in pairs)
+        (second, _, _), (ratio, j, k) = ratios[-2:]
+        assert second < 0.9 * ratio  # one pair leads by more than any rounding
+        assert max(pairs, key=lambda pair: off_max(W, *pair)) != (j, k)
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", budget)
+        with pytest.raises(NumericalError) as info:
+            gm.jacobi_decompose(V)
+        assert str(info.value).startswith(
+            f"sweep budget {budget} exhausted: pair ({j}, {k}) has off-block {off_max(W, j, k):.3e}, "
+        )
 
 
 def test_jacobi_validates_once(monkeypatch):

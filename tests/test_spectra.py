@@ -1,6 +1,8 @@
 """Tests for spectra: symplectic eigenvalues, the normal-form factorization
 and the dominance certificate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -477,3 +479,23 @@ class TestDominatesProperties:
         assert cert.tail_slack == ref.tail_slack
         assert cert.compatible == ref.compatible
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(permuted_pairs(), st.integers(0, 2000))
+    def test_certificate_scales_by_powers_of_two(self, case, drop):
+        """dominates(2^k kappa, 2^k m) is exactly 2^k times the certificate
+        of (kappa, m), for k up to the top of the double range: the largest
+        k with 2^k max(kappa, m) finite, less the drawn ``drop``.  There the
+        sum of a few entries passes the largest double.  The grid's sums are
+        exact, so the certificate of (kappa, m) is too; a scaled slack past
+        the largest double is inf."""
+        kappa, m = case[:2]
+        k = 1024 - math.frexp(max(kappa.max(), m.max()))[1] - drop
+        ref = gm.dominates(kappa, m)
+        cert = gm.dominates(kappa * 2.0**k, m * 2.0**k)
+        with np.errstate(over="ignore"):
+            partial, tail = ref.partial_sum_slacks * 2.0**k, ref.tail_slack * 2.0**k
+        assert cert.kappa_sorted.tobytes() == (ref.kappa_sorted * 2.0**k).tobytes()
+        assert cert.m_sorted.tobytes() == (ref.m_sorted * 2.0**k).tobytes()
+        assert cert.partial_sum_slacks.tobytes() == partial.tobytes()
+        assert float(cert.tail_slack).hex() == float(tail).hex()
+        assert cert.compatible == ref.compatible
