@@ -260,14 +260,14 @@ def dominates(kappa, m) -> DominanceCertificate:
         raise ValueError("expected two equal-length, nonempty vectors")
     kappa = np.sort(_positive_finite(kappa))
     m = np.sort(_positive_finite(m))
-    # the sums run on the entries times 2^-s (``_sum_shift``), so none overflows
+    # the sums run on the entries times 2^-s (``_sum_shift``), so none overflows;
+    # scaled back, a slack past the largest double reads +-inf
     s = _sum_shift(kappa, m)
-    ks, ms = (kappa * 2.0**-s, m * 2.0**-s) if s else (kappa, m)
+    ks, ms = kappa * 2.0**-s, m * 2.0**-s
     partial = np.cumsum(ms) - np.cumsum(ks)
-    tail = float((ks[-1] - ks[:-1].sum()) - (ms[-1] - ms[:-1].sum()))
-    if s:  # scaled back: a slack past the largest double reads +-inf
-        with np.errstate(over="ignore"):
-            partial, tail = partial * 2.0**s, tail * 2.0**s
+    tail = float((ks[-1] - ks[:-1].sum()) - (ms[-1] - ms[:-1].sum())) * 2.0**s
+    with np.errstate(over="ignore"):
+        partial *= 2.0**s
     compatible = bool(np.all(partial >= 0.0) and tail >= 0.0)
     return DominanceCertificate(
         kappa_sorted=kappa,
@@ -286,6 +286,6 @@ def _within_slack(cert: DominanceCertificate):
     """
     worst = min(float(np.min(cert.partial_sum_slacks)), cert.tail_slack)
     s = _sum_shift(cert.kappa_sorted, cert.m_sorted)  # keeps sum |m| in range, as in ``dominates``
-    total = 2.0**-s + float(np.sum(np.abs(cert.m_sorted * 2.0**-s if s else cert.m_sorted)))
+    total = 2.0**-s + float(np.sum(np.abs(cert.m_sorted * 2.0**-s)))
     return worst, bool(worst >= -math.ldexp(COUPLING_TOL * total, s))
 
