@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -134,12 +135,25 @@ def _emit(doc, path=None) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _slack(x: float):
+    """A slack as a JSON number, or the string "inf" / "-inf" when its true
+    value lies past the largest double and the certificate holds +-inf."""
+    return str(x) if math.isinf(x) else x
+
+
+def _certificate_doc(cert) -> dict:
+    doc = dataclasses.asdict(cert)
+    doc["partial_sum_slacks"] = [_slack(x) for x in cert.partial_sum_slacks.tolist()]
+    doc["tail_slack"] = _slack(cert.tail_slack)
+    return doc
+
+
 def run_check(global_path, local_path) -> int:
     kappa = _load_vector(global_path)
     m = _load_vector(local_path)
     cert = dominates(kappa, m)
     physical = _above_vacuum(cert.kappa_sorted[0])
-    _emit({**dataclasses.asdict(cert), "physical": physical})
+    _emit({**_certificate_doc(cert), "physical": physical})
     return 0 if (cert.compatible and physical) else 1
 
 
@@ -170,7 +184,7 @@ def run_decompose(matrix_path) -> int:
     doc = {
         "kappa": cert.kappa_sorted,
         "m": cert.m_sorted,
-        "certificate": dataclasses.asdict(dataclasses.replace(cert, compatible=compatible)),
+        "certificate": _certificate_doc(dataclasses.replace(cert, compatible=compatible)),
     }
     _emit(doc)
     return 0 if compatible else 1

@@ -29,7 +29,7 @@ from .exceptions import (
     NumericalError,
     UnphysicalSpectrumError,
 )
-from .spectra import _above_vacuum, _within_slack, dominates
+from .spectra import _above_vacuum, _sum_shift, _within_slack, dominates
 from .symplectic import (
     _JACOBI_EPS,
     DEFAULT_TOL,
@@ -373,7 +373,9 @@ def synthesize(kappa, m):
     structure allow round-off of DEFAULT_TOL * s, and the final check of the
     diagonal against m allows VERIFY_TOL * s, the allowance ``verify``
     applies.  Away from those round-off thresholds, scaling (kappa, m) by
-    4^e, which is exact in floating point, leaves S bit for bit unchanged.
+    4^e, which is exact in floating point, leaves S bit for bit unchanged,
+    also where sum(m) passes the largest double: the schedule sums the
+    entries times the power of two of ``spectra._sum_shift``.
 
     Raises:
         ValueError: ``dominates`` rejects the vectors (shape, or an entry
@@ -409,8 +411,11 @@ def synthesize(kappa, m):
     W, S = WS[: 2 * n], WS[2 * n :]
     np.fill_diagonal(W, np.repeat(kappa, 2))
     np.fill_diagonal(S, 1.0)
-    m_sum = np.sum(m)
-    sum_gap_initial = float(m_sum - np.sum(kappa))
+    # the sums run on the entries times w = 2^-s (``_sum_shift``), so none
+    # overflows, and each gap is divided by w; w = 1 below about 1e305
+    w = 2.0 ** -_sum_shift(kappa, m)
+    m_sum = np.sum(m * w)
+    sum_gap_initial = float(m_sum - np.sum(kappa * w)) / w
     # the schedule's bookkeeping runs on Python floats; the sums stay NumPy's
     d, m = kappa.tolist(), m.tolist()
     steps = []
@@ -481,14 +486,14 @@ def synthesize(kappa, m):
 
         # Stage 2: pair squeezes with the last mode while the remaining sum gap
         # covers twice the mode's deficit.
-        delta = float(m_sum - np.sum(d))
+        delta = float(m_sum - np.sum(np.multiply(d, w))) / w
         while i <= n - 1 and delta > atol:
             eps = m[i - 1] - d[i - 1]
             if not eps <= atol:
                 if delta < 2.0 * eps - atol:
                     break
                 apply_step(2, "SQ", i, n, sq_param(d[i - 1], d[n - 1], eps))
-                delta = float(m_sum - np.sum(d))
+                delta = float(m_sum - np.sum(np.multiply(d, w))) / w
             i += 1
 
         # Stage 3: one general transform absorbs whatever gap is left.
@@ -574,9 +579,13 @@ def verify(S, kappa, m) -> VerifyReport:
     r = np.sqrt(d)
     E *= r[:, None]
     E *= r
-    # E's rounding bound: sum(d0), sum(d1) are ||Q||_F^2, ||P||_F^2 (see the docstring)
+    # E's rounding bound: sum(d0), sum(d1) are ||Q||_F^2, ||P||_F^2 (see the
+    # docstring).  They are summed on the values times w = 4^-t, t = ceil(s / 2)
+    # for the s of ``_sum_shift``, so neither overflows; the roots' product is
+    # divided by w
     g = (n + 2) * 2.0**-53
-    rounding = 2.0 * g / (1.0 - g) * math.sqrt(d0.sum()) * math.sqrt(d1.sum())
+    w = 4.0 ** -((_sum_shift(kappa, m) + 1) // 2)
+    rounding = 2.0 * g / (1.0 - g) * math.sqrt((d0 * w).sum()) * math.sqrt((d1 * w).sum()) / w
     # ||E||_F: E is scaled by 2^-s into [1/2, 1) first, so its squares stay
     # in range, and the norm by 2^s after, in two exact halves (a norm past
     # the largest double comes out inf)

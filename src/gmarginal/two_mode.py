@@ -74,15 +74,19 @@ def _svd2(c00, c01, c10, c11):
 
     R(x) = [[cos x, -sin x], [sin x, cos x]].  The singular values come out
     as s1 >= |s2| with s2 carrying the sign of det C, so both factors are
-    rotations and R(-phi) C R(theta)^T = diag(s1, s2).  Returns
-    (phi, s1, s2, theta).
+    rotations and R(-phi) C R(theta)^T = diag(s1, s2).  Returns the two
+    rotations and the singular values as
+    (cos phi, sin phi, s1, s2, cos theta, sin theta).  This is the two-mode
+    factors' only call to libm (hypot, atan2, cos, sin); its callers run on
+    + - * / sqrt and exact power-of-two scaling.
     """
     # halved before the sums, which could overflow near the top of the double range
     e, f = 0.5 * c00 + 0.5 * c11, 0.5 * c00 - 0.5 * c11
     g, h = 0.5 * c10 + 0.5 * c01, 0.5 * c10 - 0.5 * c01
     q, r = math.hypot(e, h), math.hypot(f, g)
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
-    return 0.5 * (a2 + a1), q + r, q - r, 0.5 * (a2 - a1)
+    phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
+    return math.cos(phi), math.sin(phi), q + r, q - r, math.cos(theta), math.sin(theta)
 
 
 def _standard_shape(M):
@@ -104,14 +108,12 @@ def _standard_shape(M):
     # L_A C, then (L_A C) L_B
     p00, p01 = la0 * c00 + la1 * c10, la0 * c01 + la1 * c11
     p10, p11 = la1 * c00 + la2 * c10, la1 * c01 + la2 * c11
-    phi, kx, kp, theta = _svd2(
+    cf, sf, kx, kp, ct, st = _svd2(
         p00 * lb0 + p01 * lb1,
         p00 * lb1 + p01 * lb2,
         p10 * lb0 + p11 * lb1,
         p10 * lb1 + p11 * lb2,
     )
-    cf, sf = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
     # R(-phi) = (cf, sf; -sf, cf) and R(theta) = (ct, -st; st, ct)
     G1 = (cf * la0 + sf * la1, cf * la1 + sf * la2, -sf * la0 + cf * la1, -sf * la1 + cf * la2)
     G2 = (ct * lb0 - st * lb1, ct * lb1 - st * lb2, st * lb0 + ct * lb1, st * lb1 + ct * lb2)
@@ -164,8 +166,9 @@ def _pivot_factor(M4):
     is one straight-line pass over Python floats: four ``_spd_roots`` and
     two ``_svd2`` calls, the 2x2 products written out, the closing gate as
     explicit residual expressions, and one array built for T at the end.
-    Every angle comes from ``atan2``, so no eigenvector phase enters the
-    gauge:
+    Outside ``_svd2``, which returns its rotations as cos and sin of atan2
+    angles, it runs on + - * / sqrt and exact power-of-two scaling, and no
+    eigenvector phase enters the gauge:
 
     0. L_A = sqrt(m_a) A^(-1/2) and L_B = sqrt(m_b) B^(-1/2) make the
        single-mode blocks m_a I and m_b I, with m = sqrt(det).  In
@@ -178,8 +181,9 @@ def _pivot_factor(M4):
        smaller kappa is taken from kappa1 kappa2 = sqrt(det X det P).
     3. T_q = D^(1/2) U^T X^(-1/2) and T_p = D^(1/2) W^T P^(-1/2) act on the
        q and p quadratures.  T_q T_p^T = I, so T is symplectic.  T^-1 is
-       one normal-form factor of M4, in a gauge fixed by the atan2 angles
-       above; it need not equal the L O D^(-1/2) factor of ``williamson``.
+       one normal-form factor of M4, in a gauge fixed by the ``_svd2``
+       rotations above; it need not equal the L O D^(-1/2) factor of
+       ``williamson``.
 
     Raises:
         InvalidCovarianceError: A, B, X or P is not positive definite.
@@ -191,7 +195,7 @@ def _pivot_factor(M4):
     ma, mb, kx, kp, (g0, g1, g2, g3), (h0, h1, h2, h3) = _standard_shape(M)
     (xh0, xh1, xh2), (xi0, xi1, xi2), dx = _spd_roots(ma, kx, mb)
     (ph0, ph1, ph2), (pi0, pi1, pi2), dp = _spd_roots(ma, kp, mb)
-    psi, big, _, chi = _svd2(  # K = X^(1/2) P^(1/2)
+    cu, su, big, _, cw, sw = _svd2(  # K = X^(1/2) P^(1/2) = R(psi) diag(big, .) R(chi)
         xh0 * ph0 + xh1 * ph1, xh0 * ph1 + xh1 * ph2, xh1 * ph0 + xh2 * ph1, xh1 * ph1 + xh2 * ph2
     )
     # dx dp / big, with big's power of two taken out of dp and big first so
@@ -202,7 +206,6 @@ def _pivot_factor(M4):
         raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
     # U = R(psi) and W = R(chi)^T with their columns swapped, so that the
     # first mode takes the smaller kappa
-    cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
     rs, rb = math.sqrt(small), math.sqrt(big)
     u00, u01, u10, u11 = -rs * su, rs * cu, rb * cu, rb * su
     w00, w01, w10, w11 = rs * sw, rs * cw, rb * cw, -rb * sw
@@ -405,8 +408,11 @@ def pair_factor(a, b, t_a, t_b) -> np.ndarray:
     form with locals (t_lo, t_hi) and spectrum D = diag(s_lo, s_hi), its
     couplings and root determinants from ``_couplings``; S_q = X^(1/2) U D^(-1/2)
     acts on the q quadratures and S_p = P^(1/2) W D^(-1/2) on the p ones, with
-    U, W from one ``_svd2`` of K = X^(1/2) P^(1/2) in ``_pivot_factor``'s gauge,
-    so S_q S_p^T = I.  Mode swaps then put the values on the requested slots.
+    U, W from the rotations of one ``_svd2`` of K = X^(1/2) P^(1/2) in
+    ``_pivot_factor``'s gauge, so S_q S_p^T = I.  Mode swaps then put the
+    values on the requested slots.  Past ``_svd2`` the work is + - * / sqrt,
+    and tr X + 2 sqrt(det X) is summed in quarters, so it does not overflow
+    when the targets' sum passes the largest double.
 
     Raises:
         InfeasibleRedistributionError: the targets are not reachable.
@@ -422,16 +428,16 @@ def pair_factor(a, b, t_a, t_b) -> np.ndarray:
             f"targets ({t_a}, {t_b}) are not reachable from ({a}, {b})"
         )
     kx, kp, dx, dp = _couplings(t_lo, t_hi, s_lo, s_hi)
-    # X^(1/2) = (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X)) and P^(1/2) as flat triples
-    tx, tp = math.sqrt(t_lo + t_hi + 2.0 * dx), math.sqrt(t_lo + t_hi + 2.0 * dp)
+    # X^(1/2) = (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X)) and P^(1/2) as flat
+    # triples; the root is taken of a quarter of the sum, finite where the sum overflows
+    tx, tp = (2.0 * math.sqrt(0.25 * t_lo + 0.25 * t_hi + 0.5 * d) for d in (dx, dp))
     xh = xh0, xh1, xh2 = (t_lo + dx) / tx, kx / tx, (t_hi + dx) / tx
     ph = ph0, ph1, ph2 = (t_lo + dp) / tp, kp / tp, (t_hi + dp) / tp
-    psi, _, _, chi = _svd2(  # K = X^(1/2) P^(1/2)
+    cu, su, _, _, cw, sw = _svd2(  # K = X^(1/2) P^(1/2) = R(psi) diag(., .) R(chi)
         xh0 * ph0 + xh1 * ph1, xh0 * ph1 + xh1 * ph2, xh1 * ph0 + xh2 * ph1, xh1 * ph1 + xh2 * ph2
     )
     # U D^(-1/2) and W D^(-1/2) as flat row-major 4-tuples, for U = R(psi) and
     # W = R(chi)^T with their columns swapped, so that the first mode takes s_lo
-    cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
     rl, rh = math.sqrt(s_lo), math.sqrt(s_hi)
     uw = (-su / rl, cu / rh, cu / rl, su / rh), (sw / rl, cw / rh, cw / rl, -sw / rh)
     # S_q on the q rows and columns (0::2), S_p on the p ones (1::2)

@@ -56,6 +56,21 @@ class TestCheck:
         assert doc["compatible"] is False
         assert doc["tail_slack"] == -2.0
 
+    def test_slack_past_the_largest_double(self, tmp_path, capsys):
+        """Prefix slacks of 2e308 and 3e308 read +inf in the certificate and
+        are written as the string "inf"; the verdict sets the exit code."""
+        g = write_vector(tmp_path / "g.json", [1.0, 1.0, 1.0])
+        l = write_vector(tmp_path / "l.json", [1e308, 1e308, 1e308])
+        assert main(["check", g, l]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["partial_sum_slacks"] == [1e308, "inf", "inf"]
+        assert doc["compatible"] is True and doc["physical"] is True
+        # swapped, the slacks are -1e308, -2e308 and -3e308
+        assert main(["check", l, g]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["partial_sum_slacks"] == [-1e308, "-inf", "-inf"]
+        assert doc["compatible"] is False
+
     def test_unphysical_exits_one(self, tmp_path, capsys):
         g = write_vector(tmp_path / "g.json", [0.5, 2.0])
         l = write_vector(tmp_path / "l.json", [1.0, 1.5])

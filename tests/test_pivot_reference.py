@@ -2,7 +2,8 @@
 
 ``reference_pivot_factor`` is a plain copy of the kernel as it was written
 with 2x2 matrices as nested tuples: ``_mul2`` products, ``_rotation_pair``
-and a gate loop over ``GATE_ENTRIES``.  The flat kernel must return the same
+of the angles of ``svd2_angles`` (the SVD as it returned angles) and a gate
+loop over ``GATE_ENTRIES``.  The flat kernel must return the same
 T bytes, hand ``_factor_gate`` the same arguments and raise the same
 exception class on every block, and the normal forms built on it
 (``standard_form``, ``local_normal_form``) must return the same bytes as
@@ -44,6 +45,15 @@ def nested_spd_roots(x0, xk, x1):
     return root, inv_root, d
 
 
+def svd2_angles(c00, c01, c10, c11):
+    """C = R(phi) diag(s1, s2) R(theta) as (phi, s1, s2, theta)."""
+    e, f = 0.5 * c00 + 0.5 * c11, 0.5 * c00 - 0.5 * c11
+    g, h = 0.5 * c10 + 0.5 * c01, 0.5 * c10 - 0.5 * c01
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    return 0.5 * (a2 + a1), q + r, q - r, 0.5 * (a2 - a1)
+
+
 def rotation_pair(phi, theta):
     cf, sf = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
@@ -65,7 +75,7 @@ def nested_standard_shape(M):
     LA = ((la * ai[0][0], la * ai[0][1]), (la * ai[1][0], la * ai[1][1]))
     LB = ((lb * bi[0][0], lb * bi[0][1]), (lb * bi[1][0], lb * bi[1][1]))
     C = mul2(mul2(LA, ((c00, c01), (c10, c11))), LB)
-    phi, kx, kp, theta = two_mode._svd2(C[0][0], C[0][1], C[1][0], C[1][1])
+    phi, kx, kp, theta = svd2_angles(C[0][0], C[0][1], C[1][0], C[1][1])
     R1, R2 = rotation_pair(phi, theta)
     return ma, mb, kx, kp, mul2(R1, LA), mul2(R2, LB)
 
@@ -77,7 +87,7 @@ def reference_pivot_factor(M4, gate):
     xh, xi, dx = nested_spd_roots(ma, kx, mb)
     ph, pi, dp = nested_spd_roots(ma, kp, mb)
     K = mul2(xh, ph)
-    psi, big, _, chi = two_mode._svd2(K[0][0], K[0][1], K[1][0], K[1][1])
+    psi, big, _, chi = svd2_angles(K[0][0], K[0][1], K[1][0], K[1][1])
     small = dx * dp / big
     if not small > 0.0:
         raise NumericalError("a computed symplectic eigenvalue is not positive; V is near-singular")
@@ -193,7 +203,7 @@ def reference_pair_factor(a, b, t_a, t_b):
 
     XH, PH = root(kx, dx), root(kp, dp)
     K = mul2(XH, PH)
-    psi, _, _, chi = two_mode._svd2(K[0][0], K[0][1], K[1][0], K[1][1])
+    psi, _, _, chi = svd2_angles(K[0][0], K[0][1], K[1][0], K[1][1])
     cu, su, cw, sw = math.cos(psi), math.sin(psi), math.cos(chi), math.sin(chi)
     rl, rh = math.sqrt(s_lo), math.sqrt(s_hi)
     S = np.zeros((4, 4))

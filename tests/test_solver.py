@@ -35,6 +35,7 @@ from conftest import (
     block_isotropy_max,
     bloch_messiah_state,
     count_linalg_calls,
+    form_matrix,
     local_params,
     off_block_max,
 )
@@ -56,13 +57,6 @@ SEVEN_CHAIN = [
 SEVEN_PAIRS = [(1, 6), (2, 6), (3, 7), (4, 7), (5, 7), (6, 7)]
 SEVEN_KINDS = ["BS", "BS", "SQ", "GEN", "BS", "BS"]
 SEVEN_STAGES = [1, 1, 2, 3, 4, 4]
-
-
-def coupled_pair(m1, m2, kx, kp):
-    V = np.diag([m1, m1, m2, m2])
-    V[0, 2] = V[2, 0] = kx
-    V[1, 3] = V[3, 1] = kp
-    return V
 
 
 def rel_diff(x, ref):
@@ -112,7 +106,7 @@ class TestJacobi:
         assert np.allclose(kappa, [1.0, 2.5, 4.0], atol=1e-12, rtol=0)
 
     def test_single_pivot_example(self):
-        V = coupled_pair(2.0, 2.0, 1.0, 1.0)
+        V = form_matrix(2.0, 2.0, 1.0, 1.0)
         S, kappa, trace = gm.jacobi_decompose(V)
         assert trace.converged
         assert len(trace.steps) == 1
@@ -170,13 +164,13 @@ class TestJacobi:
         # a two-mode squeezed vacuum times 0.9: one pivot, then kappa = (0.9, 0.9)
         ch, sh = np.cosh(0.8), np.sinh(0.8)
         with pytest.raises(InvalidCovarianceError, match="kappa_min") as info:
-            gm.jacobi_decompose(0.9 * coupled_pair(ch, ch, sh, -sh))
+            gm.jacobi_decompose(0.9 * form_matrix(ch, ch, sh, -sh))
         trace = info.value.trace
         assert trace.converged and [s.pair for s in trace.steps] == [(1, 2)]
 
     @pytest.mark.parametrize(
         "V",
-        [coupled_pair(1.0, 1.0, 2.0, 0.0), coupled_pair(1.0, 1.0, 0.5, 0.5)],
+        [form_matrix(1.0, 1.0, 2.0, 0.0), form_matrix(1.0, 1.0, 0.5, 0.5)],
         ids=["indefinite", "kappa-half"],
     )
     @pytest.mark.parametrize("budget", [0, 1])
@@ -193,7 +187,7 @@ class TestJacobi:
 
     @pytest.mark.parametrize(
         "V",
-        [np.diag([0.5, 0.5, 2.0, 2.0]), coupled_pair(1.0, 1.0, 0.5, 0.5)],
+        [np.diag([0.5, 0.5, 2.0, 2.0]), form_matrix(1.0, 1.0, 0.5, 0.5)],
         ids=["uncoupled", "coupled"],
     )
     def test_converged_unphysical_names_kappa_min(self, V):
@@ -525,7 +519,7 @@ def test_scalar_gate_matches_dense_residuals(monkeypatch):
         gates.clear(), roots.clear(), svds.clear()
         T = two_mode._pivot_factor(M4)
         # the kernel's kappa: roots of A, B, X, P, then the SVDs of C and K
-        big = svds[1][1]
+        big = svds[1][2]
         small = roots[2][2] * roots[3][2] / big
         S = symplectic_inverse(T)
         dense_fact = np.abs((S * [small, small, big, big]) @ S.T - M4).max()
@@ -636,7 +630,7 @@ class TestSynthesizeGeneral:
         assert abs(step.param - np.pi / 4) < 1e-12
         assert step.stage == 4  # with two modes the only partner is the last
         assert np.abs(np.array(step.diag_after) - [2.0, 2.0]).max() < 1e-12
-        assert np.abs(V - coupled_pair(2.0, 2.0, 1.0, 1.0)).max() < 1e-10
+        assert np.abs(V - form_matrix(2.0, 2.0, 1.0, 1.0)).max() < 1e-10
 
     def test_zero_gap_goes_straight_to_transfers(self):
         # equal sums: no squeezing allowed anywhere in the schedule
@@ -929,6 +923,20 @@ def test_synthesis_is_scale_equivariant(case):
         c = 4.0**e
         S, _, _ = gm.synthesize(c * kappa, c * m)
         assert np.array_equal(S, S0), e
+        assert gm.verify(S, c * kappa, c * m).ok, e
+
+
+def test_synthesis_is_scale_equivariant_at_every_e():
+    """(1, 1.5) at n = 16 times 4^e for every e from 0 to 510: S bitwise,
+    V times 4^e, and an ok ``verify``.  From e = 510 on, sum(m) passes the
+    largest double; the schedule's sums and ``verify``'s rounding term run
+    on the entries times a power of two."""
+    kappa, m = np.ones(16), np.full(16, 1.5)
+    S0, V0, _ = gm.synthesize(kappa, m)
+    for e in range(511):
+        c = 4.0**e
+        S, V, _ = gm.synthesize(c * kappa, c * m)
+        assert np.array_equal(S, S0) and np.array_equal(V, c * V0), e
         assert gm.verify(S, c * kappa, c * m).ok, e
 
 

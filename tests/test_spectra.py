@@ -13,17 +13,16 @@ from gmarginal import InvalidCovarianceError, solver
 from gmarginal.spectra import _within_slack
 from gmarginal.two_mode import _pivot_factor
 
-from conftest import bloch_messiah_state, local_params, rand_local_symplectic, squeezed_state
+from conftest import (
+    bloch_messiah_state,
+    form_matrix,
+    local_params,
+    rand_local_symplectic,
+    squeezed_state,
+)
 from test_oracle import STATES as ORACLE_STATES
 
 N_SAMPLES = 30
-
-
-def coupled_pair(m1, m2, kx, kp):
-    V = np.diag([m1, m1, m2, m2])
-    V[0, 2] = V[2, 0] = kx
-    V[1, 3] = V[3, 1] = kp
-    return V
 
 
 class TestSymplecticSpectrum:
@@ -34,7 +33,7 @@ class TestSymplecticSpectrum:
     def test_coupled_two_mode_example(self):
         # For this matrix the two quadratic invariants give
         # k1^2 + k2^2 = 10 and (k1 k2)^2 = (4 - 1)(4 - 1) = 9, hence (1, 3).
-        V = coupled_pair(2.0, 2.0, 1.0, 1.0)
+        V = form_matrix(2.0, 2.0, 1.0, 1.0)
         assert np.allclose(gm.symplectic_spectrum(V), [1.0, 3.0], atol=1e-12, rtol=0)
 
     def test_quadratic_invariant_oracle_two_modes(self):
@@ -111,7 +110,7 @@ class TestWilliamson:
         # m1 = m2 = cosh(2r), kx = -kp = sinh(2r) has both invariants equal
         # to those of the vacuum pair, so kappa = (1, 1).
         r = 0.55
-        V = coupled_pair(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r), -np.sinh(2 * r))
+        V = form_matrix(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r), -np.sinh(2 * r))
         fac = gm.williamson(V)
         assert np.allclose(fac.kappa, [1.0, 1.0], atol=1e-10, rtol=0)
         assert np.abs(fac.S @ fac.S.T - V).max() < 1e-10
@@ -336,7 +335,7 @@ def test_top_of_the_double_range():
 
 # positive diagonal but indefinite, and singular positive semidefinite:
 # the Cholesky factorization behind the spectral routines fails on both
-INDEFINITE = coupled_pair(1.0, 1.0, 2.0, 0.0)
+INDEFINITE = form_matrix(1.0, 1.0, 2.0, 0.0)
 SINGULAR_PSD = np.diag([1.0, 0.0, 1.0, 1.0])
 
 

@@ -188,10 +188,10 @@ class TestFactorizationGate:
         for vals in ((math.nan, 1.0), (1.0, math.nan, 2.0), (0.0, 0.0, math.nan)):
             assert math.isnan(two_mode._worst(vals))
 
-    @pytest.mark.parametrize("slot", [0, 3])
+    @pytest.mark.parametrize("slot", [0, 4])
     def test_kernel_rejects_a_nan_angle(self, monkeypatch, slot):
-        """A NaN phi (slot 0) in the off-block's SVD makes the first residual
-        NaN; a NaN theta (slot 3) leaves the first finite and later ones NaN."""
+        """A NaN cos phi (slot 0) in the off-block's SVD makes the first residual
+        NaN; a NaN cos theta (slot 4) leaves the first finite and later ones NaN."""
         V, _, _ = gm.random_state(2, seed=5)
         real_svd2, gates, calls = two_mode._svd2, [], []
 

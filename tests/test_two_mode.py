@@ -2,6 +2,9 @@
 redistribution parameters, the general pair factor, and the closed-form
 Jacobi pivot factor."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -474,6 +477,15 @@ class TestPairFactor:
         with pytest.raises(NumericalError):
             gm.pair_factor(a, b, ta, tb)
 
+    def test_scale_equivariant_to_the_top_of_the_double_range(self):
+        """4^e (2, 9, 5, 6) returns the unscaled factor's bytes for every e up
+        to 510, where tr X + 2 sqrt(det X) of the targets passes the largest
+        double."""
+        S0 = gm.pair_factor(2.0, 9.0, 5.0, 6.0)
+        for e in range(511):
+            c = 4.0**e
+            assert gm.pair_factor(2.0 * c, 9.0 * c, 5.0 * c, 6.0 * c).tobytes() == S0.tobytes(), e
+
     def test_spectra_without_a_state_miss_the_gate(self):
         """The feasibility slack admits targets that no real state reaches."""
         with pytest.raises(NumericalError):
@@ -542,3 +554,29 @@ def test_normal_forms_call_no_linear_algebra_routine(monkeypatch):
     gm.two_mode_invariants(V4)
     gm.local_normal_form(V)
     assert calls == []
+
+
+def test_libm_is_called_from_svd2_alone(monkeypatch):
+    """math.atan2, hypot, cos and sin run only inside ``_svd2`` while the
+    two-mode factors run; everything else is + - * / sqrt."""
+    callers = []
+    for name in ("atan2", "hypot", "cos", "sin"):
+
+        def spy(*args, _real=getattr(math, name)):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _real(*args)
+
+        monkeypatch.setattr(math, name, spy)
+    rng = np.random.default_rng(2032)
+    blocks = pivot_edge_blocks()
+    for _ in range(20):
+        A = rng.normal(size=(4, 4))
+        blocks.append(A @ A.T + 0.5 * np.eye(4))
+    for M4 in blocks:
+        _pivot_factor(M4)
+        gm.standard_form(M4)
+    for _ in range(20):
+        t_lo, t_hi, s_lo, s_hi = random_compatible_quadruple(rng)
+        gm.pair_factor(s_lo, s_hi, t_lo, t_hi)
+    monkeypatch.undo()
+    assert callers and set(callers) == {"_svd2"}
